@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -395,12 +394,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("config needs either 'deltas' or 'seeds'")
 
     graph_bounds = _graph_bounds(g, min(cfg.get("eps", [1e-2])), cfg["R"])
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        futures = [
-            pool.submit(_sweep_row, g, cfg, i, params, graph_bounds)
-            for i, params in enumerate(jobs)
-        ]
-        rows = [f.result() for f in futures]
+    rows = [_sweep_row(g, cfg, i, params, graph_bounds) for i, params in enumerate(jobs)]
 
     header = sorted({k for r in rows for k in r}, key=lambda k: (k != "row", k))
     table = [[r.get(h) for h in header] for r in rows]

@@ -25,6 +25,7 @@ and distinct components' opinion hulls are separated by more than it);
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .errors import (
     BudgetExhausted,
     DimensionMismatch,
     EpsTooSmall,
+    HistoryTruncated,
     NotLocked,
 )
 from .graphs import Graph, effective_diameter, induced_subgraph
@@ -164,6 +166,7 @@ class Trajectory:
     events: list
     energies: list               # (E, E_act) per recorded step, or None (exact mode)
     lock_k: int | None = None
+    lock_state: np.ndarray | None = None  # state at lock_k, kept whatever history_cap drops
     termination_k: int | None = None
     truncated: bool = False
     is_exact: bool = False
@@ -314,6 +317,7 @@ def simulate(
     deg = None
     if _lock_holds(x, bound, components):
         traj.lock_k = 0
+        traj.lock_state = x.copy()
         traj.events.append(Event(0, "lock"))
         dist0 = None
         if isinstance(stop_on, tuple):
@@ -358,6 +362,7 @@ def simulate(
 
         if not traj.locked and _lock_holds(x, bound, components):
             traj.lock_k = k
+            traj.lock_state = x.copy()
             traj.events.append(Event(k, "lock"))
             x_inf = None
 
@@ -445,7 +450,7 @@ def simulate_exact(
         return True
 
     def project(yv, m):
-        return np.array([float(Fraction(v, m)) for v in yv])
+        return np.array([v / m for v in yv])  # int true division rounds correctly
 
     edges = edges_now(y, denom)
     components = _components_of(n, edges)
@@ -461,35 +466,35 @@ def simulate_exact(
     )
     if lock_now(y, denom, components):
         traj.lock_k = 0
+        traj.lock_state = traj.states[0]
         traj.events.append(Event(0, "lock"))
 
-    recent = [(0, tuple(y), denom)]
+    recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
+    unchanged = (frozenset(), frozenset())
     neigh = None
     for k in range(1, max_steps + 1):
         if neigh is None:
-            nbr_lists = {i: [i] for i in range(n)}
+            nbr_lists = {i: [] for i in range(n)}
             for i, j in edges:
                 if i != j:
                     nbr_lists[i].append(j)
                     nbr_lists[j].append(i)
-            degs = [len(nbr_lists[i]) for i in range(n)]
-            lcm = _lcm_all(degs)
-            neigh = tuple((lcm // degs[i], tuple(nbr_lists[i])) for i in range(n))
-        y_new = []
-        same = True
-        for mult, nb in neigh:
-            acc = 0
-            for j in nb:
-                acc += y[j]
-            acc *= mult
-            if same and acc != y[len(y_new)] * lcm:
-                same = False
-            y_new.append(acc)
-        if same:
+            lcm = _lcm_all([len(nbr_lists[i]) + 1 for i in range(n)])
+            neigh = tuple((lcm // (len(nbr_lists[i]) + 1), i, nbr_lists[i]) for i in range(n))
+            links = tuple((i, j) for i, j in edges if i != j)
+        # An average equals its terms only when they are all equal, so the
+        # update fixes y exactly when y is constant across every influence
+        # link; equality tests on big integers mostly fail at the top digit.
+        for i, j in links:
+            if y[i] != y[j]:
+                break
+        else:
             traj.termination_k = k - 1
             traj.events.append(Event(k - 1, "termination"))
             break
-        y, denom = y_new, denom * lcm
+        # sum() starts from y[i], not 0, which saves a big-integer copy
+        y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
+        denom *= lcm
 
         if traj.locked:
             new_edges = edges
@@ -503,7 +508,7 @@ def simulate_exact(
             neigh = None
             traj.edge_deltas.append((edges - prev, prev - edges))
         else:
-            traj.edge_deltas.append((frozenset(), frozenset()))
+            traj.edge_deltas.append(unchanged)
 
         if len(traj.states) <= EXACT_FLOAT_STATES:
             traj.states.append(project(y, denom))
@@ -511,21 +516,20 @@ def simulate_exact(
             traj.truncated = True
 
         recent.append((k, tuple(y), denom))
-        if len(recent) > window + 1:
-            recent.pop(0)
 
         if not traj.locked and lock_now(y, denom, components):
             traj.lock_k = k
+            traj.lock_state = project(y, denom)
             traj.events.append(Event(k, "lock"))
 
         if _check_stop(stop_on, traj.locked, traj.termination_k is not None):
             break
     else:
         if stop_on is not None:
-            traj.exact_window = recent
+            traj.exact_window = list(recent)
             raise BudgetExhausted(max_steps, traj)
 
-    traj.exact_window = recent
+    traj.exact_window = list(recent)
     return traj
 
 
@@ -572,7 +576,7 @@ def steady_state(traj: Trajectory) -> SteadyState:
                 vals.append(Fraction(num, den * m))
             exact_vals = tuple(vals)
 
-    x_lock = traj.states[k] if k < len(traj.states) else traj.states[-1]
+    x_lock = traj.lock_state
     values = []
     x_inf = np.zeros(traj.gph.n)
     for idx, comp in enumerate(ig.components):
@@ -591,10 +595,16 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
     """Smallest N such that the trajectory stays within ``eps`` (2-norm) of the
     limit for every k >= N.
 
-    Recorded states are checked directly up to lock time; beyond lock the
-    distance is dominated by the analytic tail sum of |c_i| |lambda_i|^k over
-    the eigen-expansion of the deviation per frozen component, which is
-    non-increasing, so the bound is decisive for all later k.
+    Recorded states are checked directly up to lock time.  Beyond lock each
+    frozen component's deviation splits over the eigenspaces of its
+    normalized adjacency matrix, and the part in the eigenspace of lambda
+    decays as |lambda|^k.  The tail bound sums ||part|| * |lambda|^k per
+    eigenspace (per cluster of equal eigenvalues), so it does not depend on
+    the eigenbasis the solver picks inside a repeated eigenvalue.  It is
+    non-increasing, so it is decisive for all later k.
+
+    Raises HistoryTruncated when the answer needs pre-lock states that
+    ``history_cap`` dropped.
     """
     if eps <= 0:
         raise EpsTooSmall("eps must be positive")
@@ -602,46 +612,40 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
         raise NotLocked("eps-convergence time requires a locked trajectory")
     k_lock = traj.lock_k
     ig = traj.influence_graph_at(k_lock)
-    x_lock = traj.states[k_lock]
 
-    # Per-component expansion of the deviation at lock.
-    comp_coeffs = []
+    # Per component: the norm of the deviation at lock in each eigenspace,
+    # and that eigenspace's |lambda|.
+    comp_tails = []
     for comp in ig.components:
         sub, vs = induced_subgraph(ig.graph, comp)
         dec = spectral.decompose(sub)
-        dev = x_lock[list(vs)] - ss.x_inf[list(vs)]
-        coeffs = np.linalg.solve(dec.eigenvectors, dev)
-        comp_coeffs.append((np.abs(coeffs), np.abs(dec.eigenvalues)))
+        dev = traj.lock_state[list(vs)] - ss.x_inf[list(vs)]
+        parts = dec.eigenvectors * np.linalg.solve(dec.eigenvectors, dev)
+        weights = np.array([np.linalg.norm(parts[:, list(cl)].sum(axis=1)) for cl in dec.clusters])
+        rates = np.array([np.max(np.abs(dec.eigenvalues[list(cl)])) for cl in dec.clusters])
+        comp_tails.append((weights, rates))
 
-    def tail(steps_past_lock: int) -> float:
-        total = 0.0
-        for cmag, lam in comp_coeffs:
-            total += float(np.dot(cmag, lam**steps_past_lock)) ** 2
-        return math.sqrt(total)
-
-    recorded = min(k_lock, len(traj.states) - 1)
-    dists = [float(np.linalg.norm(traj.states[k] - ss.x_inf)) for k in range(recorded + 1)]
-
-    if tail(1) < eps:
-        last_bad = -1
-        for k in range(recorded + 1):
-            if dists[k] >= eps:
-                last_bad = k
-        return last_bad + 1
-
-    # Need to go past lock: walk the non-increasing tail bound forward.
-    mags = [c.copy() for c, _ in comp_coeffs]
-    lams = [l for _, l in comp_coeffs]
+    # Walk the non-increasing tail bound forward from one step past lock.
     steps = 1
-    cap = 10_000_000
-    cur = [c * l for c, l in zip(mags, lams)]
-    while steps < cap:
-        total = math.sqrt(sum(float(np.sum(c)) ** 2 for c in cur))
-        if total < eps:
-            return k_lock + steps
-        cur = [c * l for c, l in zip(cur, lams)]
+    cur = [w * r for w, r in comp_tails]
+    while math.sqrt(sum(float(np.sum(c)) ** 2 for c in cur)) >= eps:
         steps += 1
-    raise RuntimeError("tail bound failed to reach eps within iteration cap")
+        if steps >= 10_000_000:
+            raise RuntimeError("tail bound failed to reach eps within iteration cap")
+        cur = [c * r for c, (_, r) in zip(cur, comp_tails)]
+    if steps > 1:
+        return k_lock + steps
+
+    # The tail is within eps from one step past lock, so the answer is one
+    # past the last state up to lock that is not.
+    if np.linalg.norm(traj.lock_state - ss.x_inf) >= eps:
+        return k_lock + 1
+    if len(traj.states) < k_lock:
+        raise HistoryTruncated(
+            f"states {len(traj.states)}..{k_lock - 1} before the lock were not recorded"
+        )
+    bad = [k for k in range(k_lock) if np.linalg.norm(traj.states[k] - ss.x_inf) >= eps]
+    return bad[-1] + 1 if bad else 0
 
 
 def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> float:
@@ -664,20 +668,24 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
         ig = traj.influence_graph_at(traj.lock_k)
 
         def dist2(entry):
-            # sum over components of |y_i/m - mean_c|^2 in integer arithmetic
+            # sum over components of |y_i/m - mean_c|^2 as an unreduced
+            # (numerator, denominator) pair of integers
             _, numer, m = entry
-            total = Fraction(0)
+            top, bottom = 0, 1
             for idx, comp in enumerate(ig.components):
                 mp, mq = exact_vals[idx].numerator, exact_vals[idx].denominator
                 acc = 0
                 for v in comp:
                     d = numer[v] * mq - mp * m
                     acc += d * d
-                total += Fraction(acc, (mq * m) ** 2)
-            return total
+                scale = (mq * m) ** 2
+                top, bottom = top * scale + acc * bottom, bottom * scale
+            return top, bottom
 
-        ratio = dist2(entries[k_hi]) / dist2(entries[k_lo])
-        return float(ratio) ** (1.0 / (2 * window))
+        (top_hi, bottom_hi), (top_lo, bottom_lo) = dist2(entries[k_hi]), dist2(entries[k_lo])
+        # int true division rounds the exact ratio correctly, with no gcd
+        ratio = (top_hi * bottom_lo) / (bottom_hi * top_lo)
+        return ratio ** (1.0 / (2 * window))
 
     dists = [float(np.linalg.norm(s - ss.x_inf)) for s in traj.states]
     floor = 1e-13 * max(1.0, float(np.max(np.abs(traj.states[0]))))
@@ -700,19 +708,13 @@ class EnergyReport:
     violations: tuple  # (k, clause, detail)
 
 
-def _component_lambda(ig: InfluenceGraph, cache: dict) -> float:
+def _component_lambda(ig: InfluenceGraph) -> float:
     """max |lambda| over non-unit eigenvalues across components (0 if none)."""
     worst = 0.0
     for comp in ig.components:
-        if len(comp) == 1:
-            continue
-        sub, _ = induced_subgraph(ig.graph, comp)
-        key = (comp, sub.edges)
-        lam = cache.get(key)
-        if lam is None:
-            lam = spectral.decompose(sub).second_largest_abs()
-            cache[key] = lam
-        worst = max(worst, lam)
+        if len(comp) > 1:
+            sub, _ = induced_subgraph(ig.graph, comp)
+            worst = max(worst, spectral.decompose(sub).second_largest_abs())
     return worst
 
 
@@ -732,7 +734,6 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
     n = traj.gph.n
     bound = traj.confidence_bound
     violations = []
-    cache: dict = {}
     breaks_by_step: dict = {}
     for ev in traj.events_of("link_break"):
         breaks_by_step.setdefault(ev.k, []).append((ev.i, ev.j))
@@ -746,7 +747,7 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
             violations.append((k, "monotone", f"E rose by {e_next - e_k:.3e}"))
 
         ig = traj.influence_graph_at(k)
-        lam = _component_lambda(ig, cache)
+        lam = _component_lambda(ig)
         gap = 1.0 - lam * lam
         if dec < gap * act_k - tol:
             violations.append((k, "decrement_vs_active", f"{dec:.3e} < {gap * act_k:.3e}"))

@@ -26,14 +26,6 @@ class DimensionMismatch(SocialHKError):
     """Opinion vector length does not match the graph's vertex count."""
 
 
-class NoConvergence(SocialHKError):
-    """Iterative eigensolver failed to meet its tolerance within the sweep budget."""
-
-    def __init__(self, sweeps):
-        super().__init__(f"Jacobi sweeps exhausted ({sweeps}) before off-diagonal tolerance was met")
-        self.sweeps = sweeps
-
-
 class PreconditionViolated(SocialHKError):
     """Input violates an operation's stated hypothesis."""
 
@@ -44,6 +36,10 @@ class SpreadTooLarge(SocialHKError):
 
 class NotLocked(SocialHKError):
     """Trajectory never reached the frozen-influence-graph certificate."""
+
+
+class HistoryTruncated(SocialHKError):
+    """The answer needs recorded states that ``history_cap`` dropped."""
 
 
 class EpsTooSmall(SocialHKError):

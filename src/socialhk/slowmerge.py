@@ -113,11 +113,6 @@ class MergeVerdict:
 
 
 @lru_cache(maxsize=4096)
-def _cached_decompose(g: Graph) -> spectral.SpectralDecomposition:
-    return spectral.decompose(g)
-
-
-@lru_cache(maxsize=4096)
 def _rational_eigenspace(g: Graph, lam_float: float):
     """Exact eigenpair when the eigenvalue is a small rational.
 
@@ -225,7 +220,7 @@ def sufficient_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
     window = [local[v] for v in split.boundary_adjacent]
     if not window:
         raise NoBoundary("split has no boundary edges")
-    dec = _cached_decompose(sub)
+    dec = spectral.decompose(sub)
 
     records = []
     hit = None
@@ -526,7 +521,7 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
         sub, vs = induced_subgraph(gph, side_vertices)
         local = {v: k for k, v in enumerate(vs)}
         rows = [local[p] for p in positions]
-        dec = _cached_decompose(sub)
+        dec = spectral.decompose(sub)
         for cluster in dec.clusters:
             lam = float(dec.eigenvalues[cluster[0]])
             if abs(lam - 1.0) <= EIG_TOL:

@@ -3,69 +3,26 @@
 The normalized adjacency matrix A = D^{-1} A_adj of an undirected self-looped
 graph is similar to the symmetric matrix M = D^{1/2} A D^{-1/2}, so its
 spectrum is real and it is diagonalizable.  All decompositions here exploit
-that similarity: a cyclic Jacobi sweep diagonalizes M, and eigenvectors are
-mapped back through D^{-1/2}.
+that similarity: LAPACK's symmetric solver (``numpy.linalg.eigh``)
+diagonalizes M, and eigenvectors are mapped back through D^{-1/2}.
+
+``decompose`` is the one entry point for eigenpairs of a graph.  It keeps a
+bounded per-``Graph`` cache, and the arrays of a cached decomposition are
+read-only because every caller shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, PreconditionViolated, SpreadTooLarge
+from .errors import PreconditionViolated, SpreadTooLarge
 from .graphs import Graph, PartiteSpec, complete_r_partite, normalized_adjacency
 
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 60
 CLUSTER_TOL = 1e-9
-
-
-def jacobi_eigh(sym: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Stops when the
-    largest off-diagonal magnitude drops to ``tol``; raises NoConvergence if
-    the sweep budget runs out first.
-    """
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= tol:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    off = np.max(np.abs(a - np.diag(np.diag(a))))
-    if off <= tol:
-        return np.diag(a).copy(), v
-    raise NoConvergence(max_sweeps)
+DECOMPOSE_CACHE_SIZE = 256
 
 
 def _sign_normalize(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -122,17 +79,19 @@ class SpectralDecomposition:
         return float(np.max(np.abs(self.eigenvalues[1:])))
 
 
+@lru_cache(maxsize=DECOMPOSE_CACHE_SIZE)
 def decompose(g: Graph) -> SpectralDecomposition:
     """Eigendecomposition of A = D^{-1} A_adj via the symmetric similarity.
 
-    M = D^{1/2} A D^{-1/2} is symmetric and shares A's eigenvalues; Jacobi
-    diagonalizes M and eigenvectors return through D^{-1/2}.
+    M = D^{1/2} A D^{-1/2} is symmetric and shares A's eigenvalues; LAPACK
+    ``eigh`` diagonalizes M and eigenvectors return through D^{-1/2}.
+    Results are cached per graph and their arrays are read-only.
     """
-    deg = g.degrees.astype(float)
-    root = np.sqrt(deg)
+    degrees = g.degrees
+    root = np.sqrt(degrees.astype(float))
     adj = g.adjacency_matrix()
     sym = adj / np.outer(root, root)
-    vals, vecs = jacobi_eigh(sym)
+    vals, vecs = np.linalg.eigh(sym)
     back = vecs / root[:, None]
     back /= np.linalg.norm(back, axis=0)
     order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))
@@ -140,7 +99,9 @@ def decompose(g: Graph) -> SpectralDecomposition:
     back = back[:, order]
     back = np.column_stack([_sign_normalize(back[:, i]) for i in range(back.shape[1])])
     clusters = tuple(tuple(cl) for cl in _cluster(vals))
-    return SpectralDecomposition(vals, back, clusters, g.degrees.copy())
+    for arr in (vals, back, degrees):
+        arr.setflags(write=False)
+    return SpectralDecomposition(vals, back, clusters, degrees)
 
 
 def eigenspace_basis(dec: SpectralDecomposition, cluster) -> np.ndarray:
@@ -283,7 +244,7 @@ def rpartite_eigenbasis(spec: PartiteSpec) -> RPartiteEigenbasis:
     d_a = np.sqrt(d1 / sizes)
     d_b = np.sqrt(d1 * sizes)
     sym = d_b[:, None] * s * d_b[None, :]
-    w_vals, w_vecs = jacobi_eigh(sym)
+    w_vals, w_vecs = np.linalg.eigh(sym)
     order = sorted(range(r), key=lambda i: (-abs(w_vals[i]), -w_vals[i]))
     w_vals = w_vals[order]
     w_vecs = d_a[:, None] * w_vecs[:, order]

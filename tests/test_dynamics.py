@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from socialhk import dynamics, graphs, spectral
+from socialhk import dynamics, graphs, slowmerge, spectral
 from socialhk.dynamics import OpinionState
 from socialhk.errors import (
     BudgetExhausted,
     DimensionMismatch,
     EpsTooSmall,
+    HistoryTruncated,
     NotLocked,
 )
 from socialhk.graphs import complete_graph, path_graph
@@ -288,10 +289,12 @@ class TestEpsConvergence:
 
     def test_tail_bound_is_safe(self):
         # k_eps reported from the analytic tail must be >= the first time the
-        # recorded distances stay below eps (the bound can only be conservative)
+        # recorded distances stay below eps (the bound can only be conservative);
+        # cycles have repeated eigenvalues, where the eigenbasis is not unique
         rng = philox(71)
-        for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(2, 7)))
+        cases = [random_connected_graph(rng, int(rng.integers(2, 7))) for _ in range(10)]
+        cases += [graphs.cycle_graph(int(rng.integers(3, 16))) for _ in range(10)]
+        for g in cases:
             x0 = rng.uniform(-0.4, 0.4, g.n)
             traj = dynamics.simulate(g, OpinionState(x0, 1.0), 300)
             ss = dynamics.steady_state(traj)
@@ -301,6 +304,42 @@ class TestEpsConvergence:
             above = np.nonzero(dists >= eps)[0]
             first_ok = (above[-1] + 1) if len(above) else 0
             assert n >= first_ok
+
+    def test_k_eps_ignores_vertex_labels(self):
+        # a relabelled cycle has the same eigenspaces in permuted coordinates,
+        # so the per-eigenspace tail bound gives the same k_eps
+        from socialhk import sampling
+
+        g = graphs.cycle_graph(24)
+        for seed in range(1, 11):
+            perm = philox(seed).permutation(g.n)
+            g2 = graphs.Graph(g.n, frozenset((int(perm[i]), int(perm[j])) for i, j in g.edges))
+            x0 = sampling.narrow_spread(g.n, 1.0, 0.0, 0.6, seed).opinions
+            x2 = np.empty_like(x0)
+            x2[perm] = x0
+            t1 = dynamics.simulate(g, OpinionState(x0, 1.0), 1)
+            t2 = dynamics.simulate(g2, OpinionState(x2, 1.0), 1)
+            ss1, ss2 = dynamics.steady_state(t1), dynamics.steady_state(t2)
+            for eps in (1e-2, 1e-4, 1e-8):
+                k1 = dynamics.eps_convergence_time(t1, ss1, eps)
+                assert dynamics.eps_convergence_time(t2, ss2, eps) == k1, (seed, eps)
+
+    def test_history_cap_keeps_lock_state(self):
+        # the four-path run at delta = 1/256 locks at k = 8, after a cap of 3
+        # has dropped states 4..7
+        state, _ = slowmerge.four_path_family(1 / 256)
+        full = dynamics.simulate(path_graph(4), state, 40)
+        capped = dynamics.simulate(path_graph(4), state, 40, history_cap=3)
+        assert capped.lock_k == full.lock_k == 8
+        assert len(capped.states) == 4
+        ss = dynamics.steady_state(capped)
+        assert ss.values == dynamics.steady_state(full).values == (-0.198828125,)
+        assert dynamics.eps_convergence_time(capped, ss, 1e-3) == 29
+        assert dynamics.eps_convergence_time(full, ss, 1e-3) == 29
+        # a loose eps is decided before the lock, by the dropped states
+        assert dynamics.eps_convergence_time(full, ss, 1.0) == 2
+        with pytest.raises(HistoryTruncated):
+            dynamics.eps_convergence_time(capped, ss, 1.0)
 
 
 class TestInvariantProperties:

@@ -23,22 +23,6 @@ def all_partitions(n):
     yield from rec(n, n)
 
 
-class TestJacobi:
-    def test_matches_lapack_on_random_symmetric(self):
-        rng = philox(17)
-        for _ in range(20):
-            n = int(rng.integers(1, 10))
-            m = rng.normal(size=(n, n))
-            m = (m + m.T) / 2
-            vals, vecs = spectral.jacobi_eigh(m)
-            assert np.allclose(np.sort(vals), np.sort(np.linalg.eigvalsh(m)), atol=1e-10)
-            assert np.max(np.abs(m @ vecs - vecs * vals[None, :])) <= 1e-10
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            spectral.jacobi_eigh(np.zeros((2, 3)))
-
-
 class TestDecompose:
     def test_p3_spectrum(self):
         dec = spectral.decompose(path_graph(3))
@@ -102,6 +86,14 @@ class TestDecompose:
     def test_clusters_group_equal_values(self):
         dec = spectral.decompose(complete_graph(4))
         assert [len(c) for c in dec.clusters] == [1, 3]
+
+    def test_cached_and_read_only(self):
+        dec = spectral.decompose(graphs.cycle_graph(9))
+        assert spectral.decompose(graphs.cycle_graph(9)) is dec
+        for arr in (dec.eigenvalues, dec.eigenvectors, dec.degrees):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 0.0
 
 
 class TestSpectrumReport:
