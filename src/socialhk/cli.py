@@ -181,10 +181,14 @@ def _cmd_simulate(args) -> int:
         if not args.eps:
             raise UsageError("--stop-on eps requires --eps")
         stop = ("eps", args.eps[0])
-    traj = dynamics.simulate(g, state, args.max_steps, stop_on=stop)
+    try:
+        traj, partial = dynamics.simulate(g, state, args.max_steps, stop_on=stop), False
+    except BudgetExhausted as exc:
+        traj, partial = exc.trajectory, True
+        print(f"budget exhausted: {exc} (partial results written)", file=sys.stderr)
     paths = _write_trajectory(traj, args.out, args.format)
-    print(json.dumps({**_summary(traj, args.eps or []), "files": paths}, indent=1))
-    return EXIT_OK
+    print(json.dumps({**_summary(traj, args.eps or []), "partial": partial, "files": paths}, indent=1))
+    return EXIT_BUDGET if partial else EXIT_OK
 
 
 def _cmd_spectra(args) -> int:
@@ -461,9 +465,6 @@ def main(argv=None) -> int:
     except (GraphFormatError, InvalidSeed) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc} (partial results kept in memory only)", file=sys.stderr)
-        return EXIT_BUDGET
     except SocialHKError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -14,6 +14,12 @@ Two engines share the same event semantics:
   onto a bitwise fixed point once deviations reach rounding scale, which
   misreports genuinely non-terminating dynamics.
 
+Both engines see a physical graph as the sorted ``src``/``dst`` arrays of
+its non-loop edges; the influence graph is a boolean mask of the live links
+over them.  The float update sums each agent's own opinion first and then
+its live neighbors' in ascending order (one ``np.bincount``), so float
+trajectories, and bitwise termination, do not depend on the BLAS build.
+
 Events: ``link_break``/``link_form`` compare consecutive influence graphs;
 ``merge`` fires when a formed link joins two previously disconnected
 components; ``lock`` fires when the influence graph is certified frozen
@@ -25,9 +31,13 @@ and distinct components' opinion hulls are separated by more than it);
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +88,41 @@ class InfluenceGraph:
     components: tuple
 
 
-def _components_of(n: int, edges: frozenset) -> tuple:
+@lru_cache(maxsize=256)
+def _edge_arrays(gph: Graph) -> tuple:
+    """(src, dst, tgt, nbr, edge) index arrays of a physical graph.
+
+    ``src[e] < dst[e]`` are the non-loop edges in sorted order.  The directed
+    entries ``tgt <- nbr`` of the update sums list, for each target vertex,
+    the vertex itself first and then its neighbors ascending; ``edge`` is the
+    undirected edge of each entry, or -1 for the self entry.
+    """
+    src, dst = np.array(gph.nonloop_edges(), dtype=np.intp).reshape(-1, 2).T.copy()
+    loops, ids = np.arange(gph.n), np.arange(len(src))
+    tgt = np.concatenate([loops, src, dst])
+    nbr = np.concatenate([loops, dst, src])
+    edge = np.concatenate([np.full(gph.n, -1), ids, ids])
+    order = np.lexsort((nbr, edge >= 0, tgt))
+    out = (src, dst, tgt[order], nbr[order], edge[order])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _live_mask(edges, x, limit) -> np.ndarray:
+    """Which non-loop edges join opinions at most ``limit`` apart."""
+    return np.abs(x[edges[0]] - x[edges[1]]) <= limit
+
+
+def _edges_of(gph: Graph, mask) -> frozenset:
+    src, dst = _edge_arrays(gph)[:2]
+    loops = ((i, i) for i in range(gph.n))
+    return frozenset(chain(loops, zip(src[mask].tolist(), dst[mask].tolist())))
+
+
+def _components_of(n: int, src, dst) -> tuple:
+    """Components of the links ``src[e]-dst[e]``, each sorted, ordered by
+    minimum vertex."""
     parent = list(range(n))
 
     def find(a):
@@ -87,47 +131,52 @@ def _components_of(n: int, edges: frozenset) -> tuple:
             a = parent[a]
         return a
 
-    for i, j in edges:
-        if i != j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+    for i, j in zip(src.tolist(), dst.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
     groups = {}
-    for v in range(n):
+    for v in range(n):  # ascending, so every group and the group order come sorted
         groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    return tuple(tuple(g) for g in groups.values())
 
 
 def influence_edges(gph: Graph, opinions, bound, tol=0) -> frozenset:
     """Edges of the physical graph whose endpoint opinions differ by at most
     the bound (plus an optional widening tolerance).  Exact comparisons."""
-    kept = set()
-    for i, j in gph.edges:
-        if i == j:
-            kept.add((i, j))
-        else:
-            gap = opinions[i] - opinions[j]
-            if gap < 0:
-                gap = -gap
-            if gap <= bound + tol:
-                kept.add((i, j))
-    return frozenset(kept)
+    x = np.asarray(opinions, dtype=float)
+    return _edges_of(gph, _live_mask(_edge_arrays(gph), x, bound + tol))
 
 
 def influence_graph(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> InfluenceGraph:
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    edges = influence_edges(gph, state.opinions, state.confidence_bound, neighbor_tol)
-    g = Graph(gph.n, edges)
-    return InfluenceGraph(g, _components_of(gph.n, edges))
+    src, dst = _edge_arrays(gph)[:2]
+    mask = _live_mask((src, dst), state.opinions, state.confidence_bound + neighbor_tol)
+    return InfluenceGraph(Graph(gph.n, _edges_of(gph, mask)), _components_of(gph.n, src[mask], dst[mask]))
+
+
+def _averaging(edges, mask) -> tuple:
+    """(targets, sources, degrees) of the update sums under a link mask."""
+    tgt, nbr, edge = edges[2:]
+    live = np.append(mask, True)[edge]  # self entries (edge -1) read the appended True
+    t = tgt[live]
+    return t, nbr[live], np.bincount(t)
+
+
+def _average(x, t, s, deg) -> np.ndarray:
+    # bincount adds weights in entry order, which fixes the summation order
+    return np.bincount(t, weights=x[s]) / deg
 
 
 def step(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> OpinionState:
     """One update: each opinion moves to the mean over its influence neighbors."""
-    ig = influence_graph(gph, state, neighbor_tol)
-    adj = ig.graph.adjacency_matrix()
-    deg = adj.sum(axis=1)
-    return OpinionState(adj @ state.opinions / deg, state.confidence_bound)
+    if state.n != gph.n:
+        raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
+    edges = _edge_arrays(gph)
+    x = state.opinions
+    t, s, deg = _averaging(edges, _live_mask(edges, x, state.confidence_bound + neighbor_tol))
+    return OpinionState(_average(x, t, s, deg), state.confidence_bound)
 
 
 # -- events and trajectories -------------------------------------------------
@@ -154,17 +203,31 @@ class Event:
         return payload
 
 
+class Epoch(NamedTuple):
+    """A stretch of steps with one influence graph, from ``k_start`` until the
+    next epoch starts.  ``mask`` marks the live links among the physical
+    graph's sorted non-loop edges."""
+
+    k_start: int
+    mask: np.ndarray
+    components: tuple
+
+
 @dataclass
 class Trajectory:
-    """States, influence graphs (as edge deltas), events, and energy series."""
+    """States, influence graphs (as epochs), events, and energy series.
+
+    ``epochs`` starts with the influence graph at k = 0 and gains an entry
+    at every step where the graph changes; ``n_steps`` counts the updates.
+    """
 
     gph: Graph
     confidence_bound: float
     states: list                 # recorded states, index k -> ndarray
-    base_edges: frozenset        # influence edges at k = 0
-    edge_deltas: list            # per step k>=1: (added, removed) frozensets
+    epochs: list                 # [Epoch], ascending k_start
     events: list
     energies: list               # (E, E_act) per recorded step, or None (exact mode)
+    n_steps: int = 0
     lock_k: int | None = None
     lock_state: np.ndarray | None = None  # state at lock_k, kept whatever history_cap drops
     termination_k: int | None = None
@@ -173,25 +236,20 @@ class Trajectory:
     exact_window: list = field(default_factory=list)  # [(k, numerators, denominator)]
 
     @property
-    def n_steps(self) -> int:
-        return len(self.edge_deltas)
-
-    @property
     def locked(self) -> bool:
         return self.lock_k is not None
 
-    def influence_edges_at(self, k: int) -> frozenset:
+    def _epoch_at(self, k: int) -> Epoch:
         if not 0 <= k <= self.n_steps:
             raise IndexError(k)
-        edges = set(self.base_edges)
-        for added, removed in self.edge_deltas[:k]:
-            edges |= added
-            edges -= removed
-        return frozenset(edges)
+        return self.epochs[bisect_right(self.epochs, k, key=lambda e: e.k_start) - 1]
+
+    def influence_edges_at(self, k: int) -> frozenset:
+        return _edges_of(self.gph, self._epoch_at(k).mask)
 
     def influence_graph_at(self, k: int) -> InfluenceGraph:
-        edges = self.influence_edges_at(k)
-        return InfluenceGraph(Graph(self.gph.n, edges), _components_of(self.gph.n, edges))
+        epoch = self._epoch_at(k)
+        return InfluenceGraph(Graph(self.gph.n, _edges_of(self.gph, epoch.mask)), epoch.components)
 
     def events_of(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -210,61 +268,46 @@ class Trajectory:
         raise IndexError(f"step {k} not in the retained exact window")
 
 
-def _lock_holds(opinions, bound, components) -> bool:
-    hulls = []
-    for comp in components:
-        vals = [opinions[v] for v in comp]
-        lo, hi = min(vals), max(vals)
-        if hi - lo > bound:
-            return False
-        hulls.append((lo, hi))
-    for a in range(len(hulls)):
-        for b in range(a + 1, len(hulls)):
-            lo_a, hi_a = hulls[a]
-            lo_b, hi_b = hulls[b]
-            gap = lo_b - hi_a if lo_b >= hi_a else lo_a - hi_b
-            if gap <= bound:
-                return False
-    return True
+def _lock_holds(lo, hi, bound) -> bool:
+    """Lock test on per-component opinion hulls ``[lo, hi]``: every hull is at
+    most ``bound`` wide and every two hulls are more than ``bound`` apart.
+
+    Hulls that pass are disjoint, so sorted by ``lo`` each one's nearest
+    predecessor is the one just before it; and if two hulls are too close,
+    some consecutive pair is.  One pass over consecutive hulls decides it.
+    """
+    if np.any(hi - lo > bound):
+        return False
+    order = np.argsort(lo, kind="stable")
+    return bool(np.all(lo[order[1:]] - hi[order[:-1]] > bound))
 
 
-def _diff_events(k, prev_edges, new_edges, prev_components):
-    """link_break / link_form / merge events between consecutive graphs."""
-    events = []
-    comp_of = {}
-    for comp in prev_components:
-        for v in comp:
-            comp_of[v] = comp
-    for i, j in sorted(prev_edges - new_edges):
-        events.append(Event(k, "link_break", i, j))
-    merged_pairs = {}
-    for i, j in sorted(new_edges - prev_edges):
+def _diff_events(k, edges, old, new, prev_components):
+    """link_break / link_form / merge events between consecutive link masks."""
+    src, dst = edges[:2]
+    comp_of = {v: comp for comp in prev_components for v in comp}
+    events = [Event(k, "link_break", i, j)
+              for i, j in zip(src[old & ~new].tolist(), dst[old & ~new].tolist())]
+    merged = {}
+    for i, j in zip(src[new & ~old].tolist(), dst[new & ~old].tolist()):
         events.append(Event(k, "link_form", i, j))
-        ca, cb = comp_of[i], comp_of[j]
-        if ca is not cb:
-            key = tuple(sorted((min(ca), min(cb))))
-            if key not in merged_pairs:
-                a, b = (ca, cb) if min(ca) < min(cb) else (cb, ca)
-                merged_pairs[key] = Event(k, "merge", i, j, a, b)
-    events.extend(merged_pairs[key] for key in sorted(merged_pairs))
+        if comp_of[i] is not comp_of[j]:
+            a, b = sorted((comp_of[i], comp_of[j]))  # disjoint, so ordered by minimum
+            merged.setdefault((a[0], b[0]), Event(k, "merge", i, j, a, b))
+    events.extend(merged[key] for key in sorted(merged))
     return events
 
 
-def _energy(n, edges, opinions, bound):
-    """(total, active) energy over ordered vertex pairs.
+def _energy(n, src, dst, x, bound):
+    """(total, active) energy over ordered vertex pairs, the live non-loop
+    links being ``src[e]-dst[e]``.
 
     Active energy is the squared-gap sum over ordered influence edges; every
     ordered non-edge pair contributes the squared bound on top of that.
     """
-    act = 0.0
-    nonloop = 0
-    for i, j in edges:
-        if i != j:
-            gap = float(opinions[i]) - float(opinions[j])
-            act += 2.0 * gap * gap
-            nonloop += 1
-    total = act + (n * n - n - 2 * nonloop) * float(bound) ** 2
-    return total, act
+    gap = x[src] - x[dst]
+    act = 2.0 * float(np.sum(gap * gap))
+    return act + (n * n - n - 2 * len(src)) * float(bound) ** 2, act
 
 
 def _check_stop(stop_on, locked, terminated, state_dist=None):
@@ -299,23 +342,28 @@ def simulate(
         raise ValueError("max_steps must be >= 1")
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    bound = state.confidence_bound
+    n, bound = gph.n, state.confidence_bound
+    limit = bound + neighbor_tol
+    edges = _edge_arrays(gph)
+    src, dst = edges[:2]
     x = np.array(state.opinions, dtype=float)
 
-    edges = influence_edges(gph, x, bound, neighbor_tol)
-    components = _components_of(gph.n, edges)
-    traj = Trajectory(
-        gph=gph,
-        confidence_bound=bound,
-        states=[x.copy()],
-        base_edges=edges,
-        edge_deltas=[],
-        events=[],
-        energies=[_energy(gph.n, edges, x, bound)],
-    )
-    adj = None
-    deg = None
-    if _lock_holds(x, bound, components):
+    def enter(k, mask):
+        """Start an epoch; returns the arrays its steps reuse."""
+        comps = _components_of(n, src[mask], dst[mask])
+        traj.epochs.append(Epoch(k, mask, comps))
+        perm = np.fromiter(chain.from_iterable(comps), np.intp, n)
+        starts = np.cumsum([0] + [len(c) for c in comps[:-1]])
+        return mask, comps, src[mask], dst[mask], perm, starts, _averaging(edges, mask)
+
+    def lock_holds(xv):
+        xs = xv[perm]
+        return _lock_holds(np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts), bound)
+
+    traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[], energies=[])
+    mask, components, live_src, live_dst, perm, starts, avg = enter(0, _live_mask(edges, x, limit))
+    traj.energies.append(_energy(n, live_src, live_dst, x, bound))
+    if lock_holds(x):
         traj.lock_k = 0
         traj.lock_state = x.copy()
         traj.events.append(Event(0, "lock"))
@@ -329,38 +377,28 @@ def simulate(
 
     x_inf = None
     for k in range(1, max_steps + 1):
-        if adj is None:
-            adj = Graph(gph.n, edges).adjacency_matrix()
-            deg = adj.sum(axis=1)
-        x_new = adj @ x / deg
+        x_new = _average(x, *avg)
 
         if np.array_equal(x_new, x):
             traj.termination_k = k - 1
             traj.events.append(Event(k - 1, "termination"))
             break
 
-        if traj.locked:
-            new_edges = edges  # frozen-graph certificate: no recomputation needed
-        else:
-            new_edges = influence_edges(gph, x_new, bound, neighbor_tol)
-
-        if new_edges != edges:
-            traj.events.extend(_diff_events(k, edges, new_edges, components))
-            traj.edge_deltas.append((new_edges - edges, edges - new_edges))
-            edges = new_edges
-            components = _components_of(gph.n, edges)
-            adj = None
-        else:
-            traj.edge_deltas.append((frozenset(), frozenset()))
+        if not traj.locked:  # a locked graph is frozen: no recomputation needed
+            new_mask = _live_mask(edges, x_new, limit)
+            if not np.array_equal(new_mask, mask):
+                traj.events.extend(_diff_events(k, edges, mask, new_mask, components))
+                mask, components, live_src, live_dst, perm, starts, avg = enter(k, new_mask)
 
         x = x_new
+        traj.n_steps = k
         if len(traj.states) <= history_cap:
-            traj.states.append(x.copy())
+            traj.states.append(x)
         else:
             traj.truncated = True
-        traj.energies.append(_energy(gph.n, edges, x, bound))
+        traj.energies.append(_energy(n, live_src, live_dst, x, bound))
 
-        if not traj.locked and _lock_holds(x, bound, components):
+        if not traj.locked and lock_holds(x):
             traj.lock_k = k
             traj.lock_state = x.copy()
             traj.events.append(Event(k, "lock"))
@@ -421,67 +459,49 @@ def simulate_exact(
     y = [int(f * denom) for f in fracs]
     bp, bq = bound.numerator, bound.denominator
     n = gph.n
-    phys = sorted(gph.nonloop_edges())
+    edges = _edge_arrays(gph)
+    src, dst = edges[:2]
+    phys = list(zip(src.tolist(), dst.tolist()))
 
-    def edges_now(yv, m):
-        kept = {(i, i) for i in range(n)}
+    # The exact tests compare bq * gap with bp * m, i.e. gap / m with bp / bq.
+    def mask_now(yv, m):
         lim = bp * m
-        for i, j in phys:
-            if bq * abs(yv[i] - yv[j]) <= lim:
-                kept.add((i, j))
-        return frozenset(kept)
+        return np.array([bq * abs(yv[i] - yv[j]) <= lim for i, j in phys], dtype=bool)
 
-    def lock_now(yv, m, comps):
-        hulls = []
-        lim = bp * m
-        for comp in comps:
-            vals = [yv[v] for v in comp]
-            lo, hi = min(vals), max(vals)
-            if bq * (hi - lo) > lim:
-                return False
-            hulls.append((lo, hi))
-        for a in range(len(hulls)):
-            for b in range(a + 1, len(hulls)):
-                lo_a, hi_a = hulls[a]
-                lo_b, hi_b = hulls[b]
-                gap = lo_b - hi_a if lo_b >= hi_a else lo_a - hi_b
-                if bq * gap <= lim:
-                    return False
-        return True
+    def lock_now(yv, m):
+        hulls = [(bq * min(c), bq * max(c)) for c in ([yv[v] for v in comp] for comp in components)]
+        return _lock_holds(*np.array(hulls, dtype=object).T, bp * m)
 
     def project(yv, m):
         return np.array([v / m for v in yv])  # int true division rounds correctly
 
-    edges = edges_now(y, denom)
-    components = _components_of(n, edges)
+    mask = mask_now(y, denom)
+    components = _components_of(n, src[mask], dst[mask])
     traj = Trajectory(
         gph=gph,
         confidence_bound=float(bound),
         states=[project(y, denom)],
-        base_edges=edges,
-        edge_deltas=[],
+        epochs=[Epoch(0, mask, components)],
         events=[],
         energies=None,
         is_exact=True,
     )
-    if lock_now(y, denom, components):
+    if lock_now(y, denom):
         traj.lock_k = 0
         traj.lock_state = traj.states[0]
         traj.events.append(Event(0, "lock"))
 
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
-    unchanged = (frozenset(), frozenset())
     neigh = None
     for k in range(1, max_steps + 1):
         if neigh is None:
-            nbr_lists = {i: [] for i in range(n)}
-            for i, j in edges:
-                if i != j:
-                    nbr_lists[i].append(j)
-                    nbr_lists[j].append(i)
-            lcm = _lcm_all([len(nbr_lists[i]) + 1 for i in range(n)])
-            neigh = tuple((lcm // (len(nbr_lists[i]) + 1), i, nbr_lists[i]) for i in range(n))
-            links = tuple((i, j) for i, j in edges if i != j)
+            links = [p for p, live in zip(phys, mask.tolist()) if live]
+            nbr_lists = [[] for _ in range(n)]
+            for i, j in links:
+                nbr_lists[i].append(j)
+                nbr_lists[j].append(i)
+            lcm = _lcm_all(len(nb) + 1 for nb in nbr_lists)
+            neigh = tuple((lcm // (len(nb) + 1), i, nb) for i, nb in enumerate(nbr_lists))
         # An average equals its terms only when they are all equal, so the
         # update fixes y exactly when y is constant across every influence
         # link; equality tests on big integers mostly fail at the top digit.
@@ -496,20 +516,16 @@ def simulate_exact(
         y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
         denom *= lcm
 
-        if traj.locked:
-            new_edges = edges
-        else:
-            new_edges = edges_now(y, denom)
-        if new_edges != edges:
-            prev = edges
-            traj.events.extend(_diff_events(k, prev, new_edges, components))
-            edges = new_edges
-            components = _components_of(n, edges)
-            neigh = None
-            traj.edge_deltas.append((edges - prev, prev - edges))
-        else:
-            traj.edge_deltas.append(unchanged)
+        if not traj.locked:
+            new_mask = mask_now(y, denom)
+            if not np.array_equal(new_mask, mask):
+                traj.events.extend(_diff_events(k, edges, mask, new_mask, components))
+                mask = new_mask
+                components = _components_of(n, src[mask], dst[mask])
+                traj.epochs.append(Epoch(k, mask, components))
+                neigh = None
 
+        traj.n_steps = k
         if len(traj.states) <= EXACT_FLOAT_STATES:
             traj.states.append(project(y, denom))
         else:
@@ -517,7 +533,7 @@ def simulate_exact(
 
         recent.append((k, tuple(y), denom))
 
-        if not traj.locked and lock_now(y, denom, components):
+        if not traj.locked and lock_now(y, denom):
             traj.lock_k = k
             traj.lock_state = project(y, denom)
             traj.events.append(Event(k, "lock"))
@@ -625,16 +641,21 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
         rates = np.array([np.max(np.abs(dec.eigenvalues[list(cl)])) for cl in dec.clusters])
         comp_tails.append((weights, rates))
 
-    # Walk the non-increasing tail bound forward from one step past lock.
-    steps = 1
-    cur = [w * r for w, r in comp_tails]
-    while math.sqrt(sum(float(np.sum(c)) ** 2 for c in cur)) >= eps:
-        steps += 1
-        if steps >= 10_000_000:
-            raise RuntimeError("tail bound failed to reach eps within iteration cap")
-        cur = [c * r for c, (_, r) in zip(cur, comp_tails)]
-    if steps > 1:
-        return k_lock + steps
+    def tail(steps):
+        return math.sqrt(sum(float(np.sum(w * r**steps)) ** 2 for w, r in comp_tails))
+
+    # The bound is non-increasing in the step count past lock: find the first
+    # step where it is below eps by doubling, then bisection.
+    if tail(1) >= eps:
+        lo, hi = 1, 2
+        while tail(hi) >= eps:
+            if hi >= 10_000_000:
+                raise RuntimeError("tail bound failed to reach eps within iteration cap")
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if tail(mid) >= eps else (lo, mid)
+        return k_lock + hi
 
     # The tail is within eps from one step past lock, so the answer is one
     # past the last state up to lock that is not.
@@ -739,35 +760,35 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
         breaks_by_step.setdefault(ev.k, []).append((ev.i, ev.j))
 
     n_recorded = min(len(traj.states) - 1, traj.n_steps)
-    for k in range(n_recorded):
-        e_k, act_k = traj.energies[k]
-        e_next, _ = traj.energies[k + 1]
-        dec = e_k - e_next
-        if e_next > e_k + tol:
-            violations.append((k, "monotone", f"E rose by {e_next - e_k:.3e}"))
-
-        ig = traj.influence_graph_at(k)
+    starts = [e.k_start for e in traj.epochs if e.k_start < n_recorded] + [n_recorded]
+    for k0, k1 in zip(starts, starts[1:]):
+        # one influence graph, so one lambda and one diameter, per epoch
+        ig = traj.influence_graph_at(k0)
         lam = _component_lambda(ig)
         gap = 1.0 - lam * lam
-        if dec < gap * act_k - tol:
-            violations.append((k, "decrement_vs_active", f"{dec:.3e} < {gap * act_k:.3e}"))
-
         d_eff = effective_diameter(ig.graph)
-        if d_eff >= 1:
-            floor = 3.0 / (2.0 * n * n * d_eff)
-            if gap < floor - tol:
+        floor = 3.0 / (2.0 * n * n * max(d_eff, 1))
+        for k in range(k0, k1):
+            e_k, act_k = traj.energies[k]
+            e_next, _ = traj.energies[k + 1]
+            dec = e_k - e_next
+            if e_next > e_k + tol:
+                violations.append((k, "monotone", f"E rose by {e_next - e_k:.3e}"))
+            if dec < gap * act_k - tol:
+                violations.append((k, "decrement_vs_active", f"{dec:.3e} < {gap * act_k:.3e}"))
+            if d_eff >= 1 and gap < floor - tol:
                 violations.append((k, "spectral_gap_floor", f"{gap:.3e} < {floor:.3e}"))
 
-        broke = breaks_by_step.get(k + 1, [])
-        if broke:
-            if dec < bound**2 / (2 * n**3) - tol:
-                violations.append((k, "break_decrement", f"{dec:.3e}"))
-            if act_k <= bound**2 / 3 - tol:
-                violations.append((k, "break_active_floor", f"{act_k:.3e}"))
-            x_k = traj.states[k]
-            for i, j in broke:
-                if not _strained_pair(ig.graph, x_k, bound, i, j):
-                    violations.append((k + 1, "break_witness", f"no strained pair for ({i},{j})"))
+            broke = breaks_by_step.get(k + 1, [])
+            if broke:
+                if dec < bound**2 / (2 * n**3) - tol:
+                    violations.append((k, "break_decrement", f"{dec:.3e}"))
+                if act_k <= bound**2 / 3 - tol:
+                    violations.append((k, "break_active_floor", f"{act_k:.3e}"))
+                x_k = traj.states[k]
+                for i, j in broke:
+                    if not _strained_pair(ig.graph, x_k, bound, i, j):
+                        violations.append((k + 1, "break_witness", f"no strained pair for ({i},{j})"))
 
     n_breaks = len(traj.events_of("link_break"))
     return EnergyReport(not violations, n_recorded, n_breaks, tuple(violations))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -177,31 +177,26 @@ def conductance(g: Graph) -> tuple[float, frozenset]:
 # -- distances ------------------------------------------------------------
 
 
-def _bfs_ecc(g: Graph, source: int, adj: dict) -> dict:
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
 def effective_diameter(g: Graph) -> int:
-    """Largest diameter over connected components; self-loops ignored."""
-    adj = {i: [] for i in range(g.n)}
+    """Largest diameter over connected components; self-loops ignored.
+
+    Every vertex holds a bitmask of the vertices within r hops of it; a round
+    ORs in the neighbors' masks, and the rounds that still grow some mask
+    number the largest eccentricity.
+    """
+    nbrs = [[] for _ in range(g.n)]
     for i, j in g.nonloop_edges():
-        adj[i].append(j)
-        adj[j].append(i)
-    best = 0
-    for comp in g.components():
-        for v in comp:
-            dist = _bfs_ecc(g, v, adj)
-            best = max(best, max(dist.values()))
-    return best
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    reach = [1 << v for v in range(g.n)]
+    for rounds in count():
+        grown = list(reach)
+        for v, ws in enumerate(nbrs):
+            for w in ws:
+                grown[v] |= reach[w]
+        if grown == reach:
+            return rounds
+        reach = grown
 
 
 def diameter(g: Graph) -> int:

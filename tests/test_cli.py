@@ -24,6 +24,7 @@ class TestSimulateCommand:
         ])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
+        assert summary["partial"] is False
         assert summary["merge_times"] == [2]
         assert summary["lock_k"] == 2
         events = [json.loads(line) for line in read(f"{out}/events.jsonl").splitlines()]
@@ -168,12 +169,23 @@ class TestExitCodes:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
-    def test_budget_exhausted(self, capsys):
+    def test_budget_exhausted(self, tmp_path, capsys):
+        out = str(tmp_path)
         code = run([
-            "simulate", "--graph", "path:4", "--x0", "four-path:delta=0.25",
+            "--out", out, "simulate", "--graph", "path:4", "--x0", "four-path:delta=0.25",
             "--stop-on", "termination", "--max-steps", "5",
         ])
         assert code == 3
+        # the partial run is written and flagged
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["partial"] is True
+        assert summary["steps"] == 5 and summary["merge_times"] == [2]
+        assert "partial results written" in captured.err
+        assert len(read(f"{out}/trajectory.csv").splitlines()) == 1 + 6
+        assert len(read(f"{out}/energy.csv").splitlines()) == 1 + 6
+        events = [json.loads(line) for line in read(f"{out}/events.jsonl").splitlines()]
+        assert [e["kind"] for e in events] == ["link_form", "merge", "lock"]
 
     def test_numerical_failure(self, capsys):
         # conductance guard: exhaustive enumeration refuses n > 24

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ class TestStep:
     def test_p3_row_averages(self):
         out = dynamics.step(path_graph(3), OpinionState([0.0, 0.3, 0.6], 1.0))
         assert np.allclose(out.opinions, [0.15, 0.3, 0.45], atol=1e-15)
+
+    def test_step_is_the_simulate_update(self):
+        rng = philox(107)
+        for _ in range(20):
+            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+            s = OpinionState(rng.uniform(0, 3, g.n), 1.0)
+            traj = dynamics.simulate(g, s, 1)
+            if traj.termination_k == 0:
+                continue
+            assert np.array_equal(dynamics.step(g, s).opinions, traj.states[1])
 
 
 class TestSimulateEvents:
@@ -153,23 +165,95 @@ class TestSimulateEvents:
         assert dynamics.eps_convergence_time(traj, ss, 0.1) == 0
 
 
+class TestEngine:
+    def test_states_match_python_reference(self):
+        # each agent sums its own opinion first, then its live neighbors in
+        # ascending order, and divides by the count: bit for bit
+        rng = philox(109)
+        for run in range(20):
+            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+            x0 = rng.uniform(0, 3 if run % 2 else 0.8, g.n)
+            traj = dynamics.simulate(g, OpinionState(x0, 1.0), 40)
+            for k in range(len(traj.states) - 1):
+                x = traj.states[k]
+                want = []
+                for i in range(g.n):
+                    live = [j for j in range(g.n)
+                            if j != i and g.has_edge(i, j) and abs(x[i] - x[j]) <= 1.0]
+                    total = float(x[i])
+                    for j in live:
+                        total += float(x[j])
+                    want.append(total / (len(live) + 1))
+                assert np.array_equal(traj.states[k + 1], want), (run, k)
+
+    def test_influence_graph_at_every_step(self):
+        # epochs answer for every step, also for steps whose states the
+        # history cap dropped
+        rng = philox(113)
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+            s = OpinionState(rng.uniform(0, 3, g.n), 1.0)
+            full = dynamics.simulate(g, s, 60)
+            capped = dynamics.simulate(g, s, 60, history_cap=5)
+            assert capped.n_steps == full.n_steps
+            for k in range(full.n_steps + 1):
+                want = dynamics.influence_graph(g, OpinionState(full.states[k], 1.0))
+                assert capped.influence_graph_at(k) == want
+                assert full.influence_graph_at(k) == want
+            with pytest.raises(IndexError):
+                full.influence_graph_at(full.n_steps + 1)
+
+    def test_sorted_hull_lock_matches_all_pairs(self):
+        def all_pairs(lo, hi, bound):
+            if any(b - a > bound for a, b in zip(lo, hi)):
+                return False
+            for a in range(len(lo)):
+                for b in range(a + 1, len(lo)):
+                    gap = lo[b] - hi[a] if lo[b] >= hi[a] else lo[a] - hi[b]
+                    if gap <= bound:
+                        return False
+            return True
+
+        # hulls on a quarter grid, so touching hulls (gap == R) and ties are common
+        rng = philox(127)
+        seen = set()
+        for _ in range(400):
+            c = int(rng.integers(1, 6))
+            lo = rng.integers(0, 20, c) / 4
+            hi = lo + rng.integers(0, 5, c) / 4
+            want = all_pairs(lo, hi, 1.0)
+            seen.add(want)
+            assert dynamics._lock_holds(lo, hi, 1.0) == want, (lo, hi)
+            # the exact engine passes scaled Python integers
+            lo_int = np.array([int(4 * v) for v in lo], dtype=object)
+            hi_int = np.array([int(4 * v) for v in hi], dtype=object)
+            assert dynamics._lock_holds(lo_int, hi_int, 4) == want
+        assert seen == {True, False}
+
+
+def energy(g, x, bound):
+    """Energy with every non-loop edge of ``g`` live."""
+    src, dst = dynamics._edge_arrays(g)[:2]
+    return dynamics._energy(g.n, src, dst, x, bound)
+
+
 class TestEnergy:
     def test_consensus_energy_zero_on_complete(self):
         ig = dynamics.influence_graph(complete_graph(4), OpinionState(np.full(4, 1.0), 2.0))
-        e, act = dynamics._energy(4, ig.graph.edges, np.full(4, 1.0), 2.0)
+        e, act = energy(ig.graph, np.full(4, 1.0), 2.0)
         assert e == 0.0 and act == 0.0
 
     def test_p3_example(self):
         x = np.array([0.0, 0.3, 0.6])
         ig = dynamics.influence_graph(path_graph(3), OpinionState(x, 1.0))
-        e, act = dynamics._energy(3, ig.graph.edges, x, 1.0)
+        e, act = energy(ig.graph, x, 1.0)
         assert act == pytest.approx(0.36, abs=1e-12)
         assert e == pytest.approx(2.36, abs=1e-12)
 
     def test_edgeless_energy(self):
         g = graphs.Graph(4)  # loops only
         x = np.array([0.0, 10.0, 20.0, 30.0])
-        e, act = dynamics._energy(4, g.edges, x, 1.5)
+        e, act = energy(g, x, 1.5)
         assert act == 0.0
         assert e == pytest.approx((16 - 4) * 1.5**2, abs=1e-12)
 
@@ -179,7 +263,7 @@ class TestEnergy:
             g = random_connected_graph(rng, 6)
             x = rng.uniform(-2, 2, 6)
             ig = dynamics.influence_graph(g, OpinionState(x, 1.0))
-            e, _ = dynamics._energy(6, ig.graph.edges, x, 1.0)
+            e, _ = energy(ig.graph, x, 1.0)
             assert e <= 2 * (6 * 5 / 2) * 1.0**2 + 1e-9
 
 
@@ -202,6 +286,21 @@ class TestEnergyCertificates:
         traj = dynamics.simulate(path_graph(4), OpinionState(np.full(4, 2.0), 1.0), 10)
         rep = dynamics.verify_energy_certificates(traj)
         assert rep.ok and rep.n_breaks == 0
+
+    def test_per_epoch_work_matches_per_step(self):
+        # splitting every epoch into one-step epochs redoes the spectral and
+        # diameter work on every step; the report must not change
+        from test_acceptance import _energy_suite_graphs, _strained_state
+
+        rng = philox(301)
+        for i in range(60):
+            g = _energy_suite_graphs(rng)
+            x0 = _strained_state(rng, g) if i % 2 == 0 else rng.uniform(0.0, 2.5, g.n)
+            traj = dynamics.simulate(g, OpinionState(x0, 1.0), 50)
+            per_step = dataclasses.replace(
+                traj, epochs=[traj._epoch_at(k)._replace(k_start=k) for k in range(traj.n_steps + 1)]
+            )
+            assert dynamics.verify_energy_certificates(per_step) == dynamics.verify_energy_certificates(traj)
 
     def test_random_runs_hold(self):
         rng = philox(61)
@@ -400,10 +499,11 @@ class TestInvariantProperties:
             g = random_connected_graph(rng, int(rng.integers(2, 8)))
             x0 = rng.uniform(-1, 1, g.n)
             traj = dynamics.simulate(g, OpinionState(x0, 1.0), 30)
+            epoch_starts = {e.k_start for e in traj.epochs}
             for k in range(traj.n_steps):
                 if k + 1 >= len(traj.states):
                     break
-                if traj.edge_deltas[k] != (frozenset(), frozenset()):
+                if k + 1 in epoch_starts:  # k and k + 1 lie in different epochs
                     continue
                 ig = traj.influence_graph_at(k)
                 deg = ig.graph.degrees

@@ -119,6 +119,34 @@ class TestDiameters:
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
             assert graphs.effective_diameter(g) <= g.n - 1
 
+    def test_matches_bfs_reference(self):
+        def bfs_diameter(g):
+            best = 0
+            for s in range(g.n):
+                dist, frontier = {s: 0}, [s]
+                while frontier:
+                    nxt = []
+                    for v in frontier:
+                        for w in g.neighbors(v):
+                            if w not in dist:
+                                dist[w] = dist[v] + 1
+                                nxt.append(w)
+                    frontier = nxt
+                best = max(best, max(dist.values()))
+            return best
+
+        rng = philox(5)
+        cases = [graphs.standard_graph(kind, n) for kind in ("path", "cycle", "star", "dumbbell")
+                 for n in (2, 3, 7, 12)]
+        cases += [graphs.Graph(1), graphs.Graph(5)]
+        for _ in range(10):  # disjoint unions of two random connected graphs
+            a = random_connected_graph(rng, int(rng.integers(1, 7)))
+            b = random_connected_graph(rng, int(rng.integers(1, 7)))
+            shifted = {(i + a.n, j + a.n) for i, j in b.edges}
+            cases.append(graphs.Graph(a.n + b.n, a.edges | shifted))
+        for g in cases:
+            assert graphs.effective_diameter(g) == bfs_diameter(g), g
+
     def test_diameter_requires_connected(self):
         with pytest.raises(DisconnectedGraph):
             graphs.diameter(graphs.Graph(3))
