@@ -568,7 +568,8 @@ def steady_state(traj: Trajectory) -> SteadyState:
 
     While the influence graph is constant, the degree-weighted opinion sum of
     each component is conserved by every step, so the limit of the averaging
-    is the weighted mean frozen at lock time.
+    is the weighted mean frozen at lock time.  Its sum is a correctly rounded
+    ``math.fsum``, so the value does not depend on the BLAS build.
     """
     if not traj.locked:
         raise NotLocked("steady state requires a locked trajectory")
@@ -600,7 +601,7 @@ def steady_state(traj: Trajectory) -> SteadyState:
             val = float(exact_vals[idx])
         else:
             comp_list = list(comp)
-            val = float(np.dot(deg[comp_list], x_lock[comp_list]) / deg[comp_list].sum())
+            val = math.fsum(deg[comp_list] * x_lock[comp_list]) / int(deg[comp_list].sum())
         values.append(val)
         for v in comp:
             x_inf[v] = val

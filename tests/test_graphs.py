@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,49 @@ def brute_conductance(g: graphs.Graph) -> float:
         d_s = sum(int(deg[v]) for v in s)
         best = min(best, (ordered / 2) / min(d_s, total - d_s))
     return best
+
+
+def loop_conductance(g: graphs.Graph) -> tuple[float, frozenset]:
+    """Reference: the per-mask Python loop that ``graphs.conductance`` replaced."""
+    deg = g.degrees
+    total = int(deg.sum())
+    # Bitmask of non-loop neighbors per vertex.
+    nbr = [0] * g.n
+    for i, j in g.nonloop_edges():
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+
+    best = None
+    best_mask = 0
+    # S and its complement give the same ratio, so fix vertex 0 in S.
+    for rest in range(1 << (g.n - 1)):
+        mask = (rest << 1) | 1
+        if mask == (1 << g.n) - 1:
+            continue
+        d_s = 0
+        cut = 0
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d_s += deg[v]
+            cut += bin(nbr[v] & ~mask).count("1")
+        ratio = cut / min(d_s, total - d_s)
+        if best is None or ratio < best:
+            best = ratio
+            best_mask = mask
+    witness = frozenset(v for v in range(g.n) if best_mask >> v & 1)
+    return best, witness
+
+
+FAMILIES = ("path", "cycle", "star", "complete", "dumbbell")
+
+
+def assert_matches_loop(g: graphs.Graph):
+    phi, witness = graphs.conductance(g)
+    ref_phi, ref_witness = loop_conductance(g)
+    assert phi.hex() == ref_phi.hex()
+    assert witness == ref_witness
 
 
 class TestDegreeAndAdjacency:
@@ -95,6 +140,38 @@ class TestConductance:
     def test_too_large(self):
         with pytest.raises(GraphTooLarge):
             graphs.conductance(graphs.path_graph(25))
+
+    def test_matches_loop_on_random_graphs(self):
+        rng = philox(2024)
+        for _ in range(60):
+            assert_matches_loop(random_connected_graph(rng, int(rng.integers(2, 15))))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_loop_on_families(self, family):
+        # Ties are common here, so the witness pins the first-minimizer rule.
+        for n in range(2, 17):
+            assert_matches_loop(graphs.standard_graph(family, n))
+
+    def test_matches_loop_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_BLOCK_ROWS", 3)
+        rng = philox(77)
+        for _ in range(30):
+            assert_matches_loop(random_connected_graph(rng, int(rng.integers(2, 12))))
+        for family in FAMILIES:
+            for n in range(2, 13):
+                assert_matches_loop(graphs.standard_graph(family, n))
+
+    def test_at_cap(self):
+        g = graphs.path_graph(graphs.CONDUCTANCE_CAP)
+        tracemalloc.start()
+        try:
+            phi, witness = graphs.conductance(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi == 1 / 35
+        assert witness in (frozenset(range(12)), frozenset(range(12, 24)))
+        assert peak < 32 * 2**20
 
     def test_disconnected(self):
         g = graphs.Graph(4, frozenset({(0, 1), (2, 3)}))
