@@ -55,12 +55,15 @@ def _atomic_write(path: str, text: str):
 def _parse_graph(source: str) -> graphs.Graph:
     if ":" in source:
         name, _, arg = source.partition(":")
-        if name == "rpartite":
-            sizes = tuple(int(s) for s in arg.split(","))
-            return graphs.complete_r_partite(graphs.PartiteSpec(sizes))
-        if name in ("path", "cycle", "star", "complete", "dumbbell"):
+        if name not in ("rpartite", "path", "cycle", "star", "complete", "dumbbell"):
+            raise UsageError(f"unknown graph constructor {name!r}")
+        try:
+            if name == "rpartite":
+                sizes = tuple(int(s) for s in arg.split(","))
+                return graphs.complete_r_partite(graphs.PartiteSpec(sizes))
             return graphs.standard_graph(name, int(arg))
-        raise UsageError(f"unknown graph constructor {name!r}")
+        except ValueError as exc:
+            raise UsageError(f"bad graph {source!r}: {exc}") from None
     if not os.path.exists(source):
         raise UsageError(f"graph file not found: {source}")
     with open(source) as fh:
@@ -74,7 +77,10 @@ def _parse_kv(arg: str) -> dict:
             key, _, val = item.partition("=")
             if not _:
                 raise UsageError(f"expected key=value, got {item!r}")
-            out[key.strip()] = float(val)
+            try:
+                out[key.strip()] = float(val)
+            except ValueError:
+                raise UsageError(f"expected a number in {item!r}") from None
     return out
 
 
@@ -128,7 +134,7 @@ def _write_trajectory(traj: dynamics.Trajectory, out: str, fmt: str) -> dict:
     n = traj.gph.n
     paths = {}
     header = ["k"] + [f"x_{i+1}" for i in range(n)]
-    rows = [[k] + [repr(float(x)) for x in s] for k, s in enumerate(traj.states)]
+    rows = [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)]
     ext = "json" if fmt == "json" else "csv"
     paths["trajectory"] = os.path.join(out, f"trajectory.{ext}")
     _atomic_write(paths["trajectory"], _table(header, rows, fmt))
@@ -172,12 +178,8 @@ def _summary(traj: dynamics.Trajectory, eps_list) -> dict:
 def _cmd_simulate(args) -> int:
     g = _parse_graph(args.graph)
     state = _parse_x0(args.x0, g.n, args.R, args.seed)
-    stop = None
-    if args.stop_on == "lock":
-        stop = "lock"
-    elif args.stop_on == "termination":
-        stop = "termination"
-    elif args.stop_on == "eps":
+    stop = None if args.stop_on == "none" else args.stop_on
+    if stop == "eps":
         if not args.eps:
             raise UsageError("--stop-on eps requires --eps")
         stop = ("eps", args.eps[0])
@@ -292,25 +294,10 @@ def _cmd_construct(args) -> int:
         return EXIT_NUMERICAL
     state, predicted = slowmerge.construct_slow_state(g, split, verdict, args.delta, args.R)
     path = os.path.join(args.out, "x0.json")
-    _atomic_write(
-        path,
-        json.dumps(
-            {"opinions": [repr(float(v)) for v in state.opinions], "confidence_bound": args.R}
-        )
-        + "\n",
-    )
-    print(
-        json.dumps(
-            {
-                "eigenvalue": verdict.eigenvalue,
-                "delta": args.delta,
-                "predicted_merge_time": predicted,
-                "state_file": path,
-                "opinions": [float(v) for v in state.opinions],
-            },
-            indent=1,
-        )
-    )
+    opinions = state.opinions.tolist()
+    _atomic_write(path, json.dumps({"opinions": list(map(repr, opinions)), "confidence_bound": args.R}) + "\n")
+    print(json.dumps({"eigenvalue": verdict.eigenvalue, "delta": args.delta, "predicted_merge_time": predicted,
+                      "state_file": path, "opinions": opinions}, indent=1))
     return EXIT_OK
 
 

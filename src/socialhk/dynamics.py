@@ -14,11 +14,14 @@ Two engines share the same event semantics:
   onto a bitwise fixed point once deviations reach rounding scale, which
   misreports genuinely non-terminating dynamics.
 
-Both engines see a physical graph as the sorted ``src``/``dst`` arrays of
-its non-loop edges; the influence graph is a boolean mask of the live links
-over them.  The float update sums each agent's own opinion first and then
-its live neighbors' in ascending order (one ``np.bincount``), so float
+Both engines read the arrays the physical ``Graph`` owns: an influence graph
+is a boolean mask of live links over its sorted non-loop edges, and the
+update sums run over ``Graph.entries``, each agent's own opinion first and
+then its live neighbors' in ascending order (one ``np.bincount``), so float
 trajectories, and bitwise termination, do not depend on the BLAS build.
+Trajectories store epochs of one influence graph: the mask plus the labels
+of ``graphs.component_labels``; component tuples are built only for merge
+events and when the API asks for them.
 
 Events: ``link_break``/``link_form`` compare consecutive influence graphs;
 ``merge`` fires when a formed link joins two previously disconnected
@@ -35,8 +38,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +51,14 @@ from .errors import (
     HistoryTruncated,
     NotLocked,
 )
-from .graphs import Graph, effective_diameter, induced_subgraph
+from .graphs import (
+    Graph,
+    component_labels,
+    effective_diameter,
+    induced_subgraph,
+    label_components,
+    label_groups,
+)
 
 HISTORY_CAP = 100_000
 EXACT_FLOAT_STATES = 512
@@ -88,77 +97,28 @@ class InfluenceGraph:
     components: tuple
 
 
-@lru_cache(maxsize=256)
-def _edge_arrays(gph: Graph) -> tuple:
-    """(src, dst, tgt, nbr, edge) index arrays of a physical graph.
-
-    ``src[e] < dst[e]`` are the non-loop edges in sorted order.  The directed
-    entries ``tgt <- nbr`` of the update sums list, for each target vertex,
-    the vertex itself first and then its neighbors ascending; ``edge`` is the
-    undirected edge of each entry, or -1 for the self entry.
-    """
-    src, dst = np.array(gph.nonloop_edges(), dtype=np.intp).reshape(-1, 2).T.copy()
-    loops, ids = np.arange(gph.n), np.arange(len(src))
-    tgt = np.concatenate([loops, src, dst])
-    nbr = np.concatenate([loops, dst, src])
-    edge = np.concatenate([np.full(gph.n, -1), ids, ids])
-    order = np.lexsort((nbr, edge >= 0, tgt))
-    out = (src, dst, tgt[order], nbr[order], edge[order])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _live_mask(edges, x, limit) -> np.ndarray:
+def _live_mask(gph: Graph, x, limit) -> np.ndarray:
     """Which non-loop edges join opinions at most ``limit`` apart."""
-    return np.abs(x[edges[0]] - x[edges[1]]) <= limit
-
-
-def _edges_of(gph: Graph, mask) -> frozenset:
-    src, dst = _edge_arrays(gph)[:2]
-    loops = ((i, i) for i in range(gph.n))
-    return frozenset(chain(loops, zip(src[mask].tolist(), dst[mask].tolist())))
-
-
-def _components_of(n: int, src, dst) -> tuple:
-    """Components of the links ``src[e]-dst[e]``, each sorted, ordered by
-    minimum vertex."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in zip(src.tolist(), dst.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups = {}
-    for v in range(n):  # ascending, so every group and the group order come sorted
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(g) for g in groups.values())
+    return np.abs(x[gph.src] - x[gph.dst]) <= limit
 
 
 def influence_edges(gph: Graph, opinions, bound, tol=0) -> frozenset:
     """Edges of the physical graph whose endpoint opinions differ by at most
     the bound (plus an optional widening tolerance).  Exact comparisons."""
     x = np.asarray(opinions, dtype=float)
-    return _edges_of(gph, _live_mask(_edge_arrays(gph), x, bound + tol))
+    return gph.masked(_live_mask(gph, x, bound + tol)).edges
 
 
 def influence_graph(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> InfluenceGraph:
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    src, dst = _edge_arrays(gph)[:2]
-    mask = _live_mask((src, dst), state.opinions, state.confidence_bound + neighbor_tol)
-    return InfluenceGraph(Graph(gph.n, _edges_of(gph, mask)), _components_of(gph.n, src[mask], dst[mask]))
+    sub = gph.masked(_live_mask(gph, state.opinions, state.confidence_bound + neighbor_tol))
+    return InfluenceGraph(sub, label_components(component_labels(sub.n, sub.src, sub.dst)))
 
 
-def _averaging(edges, mask) -> tuple:
+def _averaging(gph: Graph, mask) -> tuple:
     """(targets, sources, degrees) of the update sums under a link mask."""
-    tgt, nbr, edge = edges[2:]
+    tgt, nbr, edge = gph.entries[:3]
     live = np.append(mask, True)[edge]  # self entries (edge -1) read the appended True
     t = tgt[live]
     return t, nbr[live], np.bincount(t)
@@ -173,9 +133,8 @@ def step(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> OpinionS
     """One update: each opinion moves to the mean over its influence neighbors."""
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    edges = _edge_arrays(gph)
     x = state.opinions
-    t, s, deg = _averaging(edges, _live_mask(edges, x, state.confidence_bound + neighbor_tol))
+    t, s, deg = _averaging(gph, _live_mask(gph, x, state.confidence_bound + neighbor_tol))
     return OpinionState(_average(x, t, s, deg), state.confidence_bound)
 
 
@@ -206,11 +165,12 @@ class Event:
 class Epoch(NamedTuple):
     """A stretch of steps with one influence graph, from ``k_start`` until the
     next epoch starts.  ``mask`` marks the live links among the physical
-    graph's sorted non-loop edges."""
+    graph's sorted non-loop edges; ``labels`` gives each vertex the smallest
+    vertex of its component."""
 
     k_start: int
     mask: np.ndarray
-    components: tuple
+    labels: np.ndarray
 
 
 @dataclass
@@ -245,11 +205,11 @@ class Trajectory:
         return self.epochs[bisect_right(self.epochs, k, key=lambda e: e.k_start) - 1]
 
     def influence_edges_at(self, k: int) -> frozenset:
-        return _edges_of(self.gph, self._epoch_at(k).mask)
+        return self.gph.masked(self._epoch_at(k).mask).edges
 
     def influence_graph_at(self, k: int) -> InfluenceGraph:
         epoch = self._epoch_at(k)
-        return InfluenceGraph(Graph(self.gph.n, _edges_of(self.gph, epoch.mask)), epoch.components)
+        return InfluenceGraph(self.gph.masked(epoch.mask), label_components(epoch.labels))
 
     def events_of(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -259,13 +219,6 @@ class Trajectory:
 
     def state_at(self, k: int) -> np.ndarray:
         return self.states[k]
-
-    def exact_state_at(self, k: int) -> tuple:
-        """Exact rational state from the retained window (exact mode only)."""
-        for kk, numer, denom in self.exact_window:
-            if kk == k:
-                return tuple(Fraction(v, denom) for v in numer)
-        raise IndexError(f"step {k} not in the retained exact window")
 
 
 def _lock_holds(lo, hi, bound) -> bool:
@@ -282,18 +235,20 @@ def _lock_holds(lo, hi, bound) -> bool:
     return bool(np.all(lo[order[1:]] - hi[order[:-1]] > bound))
 
 
-def _diff_events(k, edges, old, new, prev_components):
-    """link_break / link_form / merge events between consecutive link masks."""
-    src, dst = edges[:2]
-    comp_of = {v: comp for comp in prev_components for v in comp}
+def _diff_events(k, gph: Graph, old, new, prev_labels):
+    """link_break / link_form / merge events between consecutive link masks;
+    ``prev_labels`` are the component labels under ``old``."""
+    src, dst = gph.src, gph.dst
     events = [Event(k, "link_break", i, j)
               for i, j in zip(src[old & ~new].tolist(), dst[old & ~new].tolist())]
+    fi, fj = src[new & ~old], dst[new & ~old]
     merged = {}
-    for i, j in zip(src[new & ~old].tolist(), dst[new & ~old].tolist()):
+    for i, j, li, lj in zip(fi.tolist(), fj.tolist(), prev_labels[fi].tolist(), prev_labels[fj].tolist()):
         events.append(Event(k, "link_form", i, j))
-        if comp_of[i] is not comp_of[j]:
-            a, b = sorted((comp_of[i], comp_of[j]))  # disjoint, so ordered by minimum
-            merged.setdefault((a[0], b[0]), Event(k, "merge", i, j, a, b))
+        key = (min(li, lj), max(li, lj))  # labels are minimum vertices
+        if li != lj and key not in merged:
+            a, b = (tuple(np.flatnonzero(prev_labels == lab).tolist()) for lab in key)
+            merged[key] = Event(k, "merge", i, j, a, b)
     events.extend(merged[key] for key in sorted(merged))
     return events
 
@@ -311,9 +266,7 @@ def _energy(n, src, dst, x, bound):
 
 
 def _check_stop(stop_on, locked, terminated, state_dist=None):
-    if stop_on is None:
-        return terminated
-    if stop_on == "termination":
+    if stop_on is None or stop_on == "termination":
         return terminated
     if stop_on == "lock":
         return terminated or locked
@@ -344,24 +297,21 @@ def simulate(
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
     n, bound = gph.n, state.confidence_bound
     limit = bound + neighbor_tol
-    edges = _edge_arrays(gph)
-    src, dst = edges[:2]
+    src, dst = gph.src, gph.dst
     x = np.array(state.opinions, dtype=float)
 
     def enter(k, mask):
         """Start an epoch; returns the arrays its steps reuse."""
-        comps = _components_of(n, src[mask], dst[mask])
-        traj.epochs.append(Epoch(k, mask, comps))
-        perm = np.fromiter(chain.from_iterable(comps), np.intp, n)
-        starts = np.cumsum([0] + [len(c) for c in comps[:-1]])
-        return mask, comps, src[mask], dst[mask], perm, starts, _averaging(edges, mask)
+        labels = component_labels(n, src[mask], dst[mask])
+        traj.epochs.append(Epoch(k, mask, labels))
+        return (mask, labels, src[mask], dst[mask], *label_groups(labels), _averaging(gph, mask))
 
     def lock_holds(xv):
         xs = xv[perm]
         return _lock_holds(np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts), bound)
 
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[], energies=[])
-    mask, components, live_src, live_dst, perm, starts, avg = enter(0, _live_mask(edges, x, limit))
+    mask, labels, live_src, live_dst, perm, starts, avg = enter(0, _live_mask(gph, x, limit))
     traj.energies.append(_energy(n, live_src, live_dst, x, bound))
     if lock_holds(x):
         traj.lock_k = 0
@@ -370,9 +320,7 @@ def simulate(
         dist0 = None
         if isinstance(stop_on, tuple):
             dist0 = float(np.linalg.norm(x - steady_state(traj).x_inf))
-        if stop_on is not None and stop_on != "termination" and _check_stop(
-            stop_on, True, False, dist0
-        ):
+        if _check_stop(stop_on, True, False, dist0):
             return traj
 
     x_inf = None
@@ -385,10 +333,10 @@ def simulate(
             break
 
         if not traj.locked:  # a locked graph is frozen: no recomputation needed
-            new_mask = _live_mask(edges, x_new, limit)
+            new_mask = _live_mask(gph, x_new, limit)
             if not np.array_equal(new_mask, mask):
-                traj.events.extend(_diff_events(k, edges, mask, new_mask, components))
-                mask, components, live_src, live_dst, perm, starts, avg = enter(k, new_mask)
+                traj.events.extend(_diff_events(k, gph, mask, new_mask, labels))
+                mask, labels, live_src, live_dst, perm, starts, avg = enter(k, new_mask)
 
         x = x_new
         traj.n_steps = k
@@ -420,13 +368,6 @@ def simulate(
 # -- exact-rational engine ---------------------------------------------------
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def simulate_exact(
     gph: Graph,
     opinions,
@@ -455,37 +396,37 @@ def simulate_exact(
     if bound <= 0:
         raise ValueError("confidence bound must be positive")
 
-    denom = _lcm_all([f.denominator for f in fracs])
+    denom = math.lcm(*(f.denominator for f in fracs))
     y = [int(f * denom) for f in fracs]
     bp, bq = bound.numerator, bound.denominator
     n = gph.n
-    edges = _edge_arrays(gph)
-    src, dst = edges[:2]
-    phys = list(zip(src.tolist(), dst.tolist()))
+    src, dst = gph.src, gph.dst
+    phys = gph.nonloop_edges()
 
     # The exact tests compare bq * gap with bp * m, i.e. gap / m with bp / bq.
     def mask_now(yv, m):
         lim = bp * m
         return np.array([bq * abs(yv[i] - yv[j]) <= lim for i, j in phys], dtype=bool)
 
+    def enter(k, mask):
+        """Start an epoch; returns its labels and its vertices grouped by component."""
+        labels = component_labels(n, src[mask], dst[mask])
+        traj.epochs.append(Epoch(k, mask, labels))
+        order, starts = label_groups(labels)
+        return labels, order.tolist(), starts.tolist() + [n]
+
     def lock_now(yv, m):
-        hulls = [(bq * min(c), bq * max(c)) for c in ([yv[v] for v in comp] for comp in components)]
+        ys = [yv[v] for v in grouped]
+        hulls = [(bq * min(ys[a:b]), bq * max(ys[a:b])) for a, b in zip(cuts, cuts[1:])]
         return _lock_holds(*np.array(hulls, dtype=object).T, bp * m)
 
     def project(yv, m):
         return np.array([v / m for v in yv])  # int true division rounds correctly
 
+    traj = Trajectory(gph=gph, confidence_bound=float(bound), states=[project(y, denom)], epochs=[],
+                      events=[], energies=None, is_exact=True)
     mask = mask_now(y, denom)
-    components = _components_of(n, src[mask], dst[mask])
-    traj = Trajectory(
-        gph=gph,
-        confidence_bound=float(bound),
-        states=[project(y, denom)],
-        epochs=[Epoch(0, mask, components)],
-        events=[],
-        energies=None,
-        is_exact=True,
-    )
+    labels, grouped, cuts = enter(0, mask)
     if lock_now(y, denom):
         traj.lock_k = 0
         traj.lock_state = traj.states[0]
@@ -495,13 +436,13 @@ def simulate_exact(
     neigh = None
     for k in range(1, max_steps + 1):
         if neigh is None:
-            links = [p for p, live in zip(phys, mask.tolist()) if live]
-            nbr_lists = [[] for _ in range(n)]
-            for i, j in links:
-                nbr_lists[i].append(j)
-                nbr_lists[j].append(i)
-            lcm = _lcm_all(len(nb) + 1 for nb in nbr_lists)
-            neigh = tuple((lcm // (len(nb) + 1), i, nb) for i, nb in enumerate(nbr_lists))
+            links = list(zip(src[mask].tolist(), dst[mask].tolist()))
+            # each vertex's live entries: itself first, then its neighbors
+            _, s, deg = _averaging(gph, mask)
+            s, deg = s.tolist(), deg.tolist()
+            lcm = math.lcm(*deg)
+            ends = list(accumulate(deg))
+            neigh = tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, ends))
         # An average equals its terms only when they are all equal, so the
         # update fixes y exactly when y is constant across every influence
         # link; equality tests on big integers mostly fail at the top digit.
@@ -519,10 +460,9 @@ def simulate_exact(
         if not traj.locked:
             new_mask = mask_now(y, denom)
             if not np.array_equal(new_mask, mask):
-                traj.events.extend(_diff_events(k, edges, mask, new_mask, components))
+                traj.events.extend(_diff_events(k, gph, mask, new_mask, labels))
                 mask = new_mask
-                components = _components_of(n, src[mask], dst[mask])
-                traj.epochs.append(Epoch(k, mask, components))
+                labels, grouped, cuts = enter(k, mask)
                 neigh = None
 
         traj.n_steps = k

@@ -1,4 +1,4 @@
-"""Undirected self-looped graphs: constructors, matrices, conductance, diameters.
+"""Undirected self-looped graphs: edge arrays, components, matrices, conductance, diameters.
 
 Vertices are 0-based integers internally; the JSON interchange format is
 1-based with self-loops implied.  Every graph in this package carries a
@@ -9,8 +9,9 @@ adjacency matrix is well defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import combinations, count
+import operator
+from dataclasses import dataclass
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -25,90 +26,176 @@ CONDUCTANCE_CAP = 24
 _BLOCK_ROWS = 64  # high-half masks per block of the conductance enumeration
 
 
-def _canonical(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
-@dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on ``n`` vertices with all self-loops.
 
-    ``edges`` stores unordered pairs ``(i, j)`` with ``i <= j``, including
-    every loop ``(i, i)``.  Construction validates symmetry implicitly (pairs
-    are canonicalized) and adds any missing loops.
+    Stored as the sorted, read-only arrays of its non-loop edges ``src[e] <
+    dst[e]`` (loops implied); every other view derives from them.
+    ``Graph(n, edges)`` validates integer pairs in either orientation.
     """
 
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
+    __slots__ = ("n", "src", "dst", "_hash", "_entries")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges=frozenset()):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        canon = set()
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            canon.add(_canonical(i, j))
-        canon.update((i, i) for i in range(self.n))
-        object.__setattr__(self, "edges", frozenset(canon))
+        canon = set()  # pair codes i * n + j of the edges i < j
+        for i, j in edges:
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(f"edge ({i!r},{j!r}) has non-integer endpoints") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+            if i != j:
+                canon.add(i * n + j if i < j else j * n + i)
+        codes = np.sort(np.fromiter(canon, np.intp, len(canon)))
+        _from_arrays(n, *np.divmod(codes, n), self)
 
-    # -- basic queries ---------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return _from_arrays, (self.n, self.src, self.dst)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self is other or (self.n == other.n and self.src.tobytes() == other.src.tobytes()
+                                 and self.dst.tobytes() == other.dst.tobytes())
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.src.tobytes(), self.dst.tobytes())))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Graph({self.n}, {self.nonloop_edges()})"
+
+    @property
+    def entries(self) -> tuple:
+        """(tgt, nbr, edge, offsets), built on first use: the directed entries
+        ``tgt <- nbr`` of the averaging sums, those of vertex v at
+        ``offsets[v]:offsets[v + 1]``, itself first and then its neighbors
+        ascending; ``edge`` is each entry's non-loop edge, -1 for the self entry.
+        """
+        if self._entries is None:
+            loops, ids = np.arange(self.n), np.arange(len(self.src))
+            tgt = np.concatenate([loops, self.src, self.dst])
+            nbr = np.concatenate([loops, self.dst, self.src])
+            edge = np.concatenate([np.full(self.n, -1), ids, ids])
+            order = np.lexsort((nbr, edge >= 0, tgt))
+            tgt, nbr, edge = tgt[order], nbr[order], edge[order]
+            offsets = np.searchsorted(tgt, np.arange(self.n + 1))
+            out = (tgt, nbr, edge, offsets)
+            for a in out:
+                a.setflags(write=False)
+            object.__setattr__(self, "_entries", out)
+        return self._entries
+
+    def masked(self, mask) -> Graph:
+        """The graph on the same vertices with the non-loop edges ``mask`` selects."""
+        return _from_arrays(self.n, self.src[mask], self.dst[mask])
+
+    # -- views -----------------------------------------------------------
+
+    @property
+    def edges(self) -> frozenset:
+        """Unordered pairs ``(i, j)`` with ``i <= j``, every loop included."""
+        loops = ((i, i) for i in range(self.n))
+        return frozenset(chain(loops, zip(self.src.tolist(), self.dst.tolist())))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return _canonical(i, j) in self.edges
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            return False
+        _, nbr, _, offsets = self.entries
+        return j in nbr[offsets[i]:offsets[i + 1]].tolist()
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.has_edge(i, j))
+        """Closed neighborhood of ``i``, ascending."""
+        _, nbr, _, offsets = self.entries
+        return tuple(sorted(nbr[offsets[i]:offsets[i + 1]].tolist()))
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        offsets = self.entries[3]
+        return int(offsets[i + 1] - offsets[i])
 
     @property
     def degrees(self) -> np.ndarray:
-        adj = self.adjacency_matrix()
-        return adj.sum(axis=1).astype(int)
+        return np.bincount(np.concatenate((self.src, self.dst)), minlength=self.n) + 1
 
     def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
+        adj = np.eye(self.n)
+        adj[self.src, self.dst] = adj[self.dst, self.src] = 1.0
         return adj
 
     def nonloop_edges(self) -> list[tuple[int, int]]:
-        return sorted((i, j) for i, j in self.edges if i != j)
+        return list(zip(self.src.tolist(), self.dst.tolist()))
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n + self.n * (self.n - 1) // 2
-
-    # -- connectivity ----------------------------------------------------
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        seen = [False] * self.n
-        comps = []
-        adj = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            if i != j:
-                adj[i].append(j)
-                adj[j].append(i)
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        return len(self.src) == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return not component_labels(self.n, self.src, self.dst).any()
+
+
+def _from_arrays(n: int, src: np.ndarray, dst: np.ndarray, g: Graph | None = None) -> Graph:
+    """Fill ``g`` (default: a new ``Graph``) with arrays already in its form
+    (sorted, ``src < dst``, in range); nothing is revalidated."""
+    g = Graph.__new__(Graph) if g is None else g
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    for name, value in zip(Graph.__slots__, (n, src, dst, None, None)):
+        object.__setattr__(g, name, value)
+    return g
+
+
+# -- components -----------------------------------------------------------
+
+
+def component_labels(n: int, src, dst) -> np.ndarray:
+    """Label every vertex with the smallest vertex of its component under the
+    links ``src[e]-dst[e]``.
+
+    ``label`` is a forest of pointers to smaller vertices.  A round hooks each
+    root that a link joins to a smaller root onto the smallest such root, then
+    jumps pointers until all point at roots (Shiloach & Vishkin, J. Algorithms
+    1982); the trees still linked at least halve per round.  A component's
+    minimum vertex is never hooked, so it ends as the root.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[src], label[dst]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        cross = lo != hi
+        if not cross.any():
+            return label
+        np.minimum.at(label, hi[cross], lo[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def label_groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the vertices grouped by component, each group
+    ascending and the groups ordered by minimum vertex; group g is
+    ``order[starts[g]:starts[g + 1]]``."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    return order, starts
+
+
+def label_components(labels: np.ndarray) -> tuple:
+    """Components as sorted vertex tuples, ordered by minimum vertex."""
+    order, starts = label_groups(labels)
+    vs, cuts = order.tolist(), starts.tolist() + [len(labels)]
+    return tuple(tuple(vs[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 # -- matrices -------------------------------------------------------------
@@ -121,9 +208,7 @@ def degree_matrix(g: Graph) -> np.ndarray:
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
     """Row-stochastic matrix D^{-1} A_adj; rows sum to 1."""
-    adj = g.adjacency_matrix()
-    deg = adj.sum(axis=1)
-    return adj / deg[:, None]
+    return g.adjacency_matrix() / g.degrees[:, None]
 
 
 # -- conductance ----------------------------------------------------------
@@ -196,16 +281,13 @@ def effective_diameter(g: Graph) -> int:
     ORs in the neighbors' masks, and the rounds that still grow some mask
     number the largest eccentricity.
     """
-    nbrs = [[] for _ in range(g.n)]
-    for i, j in g.nonloop_edges():
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    links = g.nonloop_edges()
     reach = [1 << v for v in range(g.n)]
     for rounds in count():
         grown = list(reach)
-        for v, ws in enumerate(nbrs):
-            for w in ws:
-                grown[v] |= reach[w]
+        for i, j in links:
+            grown[i] |= reach[j]
+            grown[j] |= reach[i]
         if grown == reach:
             return rounds
         reach = grown
@@ -304,14 +386,8 @@ class PartiteSpec:
 
 def complete_r_partite(spec: PartiteSpec) -> Graph:
     """Complete multipartite graph: edges join vertices of different parts."""
-    part_of = {}
-    for idx, block in enumerate(spec.parts()):
-        for v in block:
-            part_of[v] = idx
-    edges = frozenset(
-        (u, v) for u, v in combinations(range(spec.n), 2) if part_of[u] != part_of[v]
-    )
-    return Graph(spec.n, edges)
+    part_of = [idx for idx, size in enumerate(spec.part_sizes) for _ in range(size)]
+    return Graph(spec.n, [(u, v) for u, v in combinations(range(spec.n), 2) if part_of[u] != part_of[v]])
 
 
 # -- subgraphs ------------------------------------------------------------
@@ -328,11 +404,12 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
         raise EmptyVertexSet("induced subgraph needs at least one vertex")
     if vs[0] < 0 or vs[-1] >= g.n:
         raise ValueError("vertex out of range")
-    local = {v: k for k, v in enumerate(vs)}
-    edges = frozenset(
-        (local[i], local[j]) for i, j in g.edges if i in local and j in local
-    )
-    return Graph(len(vs), edges), tuple(vs)
+    local = np.full(g.n, -1)
+    local[vs] = np.arange(len(vs))
+    src, dst = local[g.src], local[g.dst]
+    keep = np.minimum(src, dst) >= 0
+    # local numbering keeps the order of global vertices, so the edge order too
+    return _from_arrays(len(vs), src[keep], dst[keep]), tuple(vs)
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -356,7 +433,6 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise GraphFormatError("'n' must be a positive integer")
     seen = set()
-    edges = set()
     for pair in payload["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphFormatError(f"edge {pair!r} is not a pair")
@@ -367,9 +443,8 @@ def graph_from_json(text: str) -> Graph:
             raise GraphFormatError(f"edge {pair!r} out of range for n={n}")
         if i == j:
             raise GraphFormatError(f"self-loop {pair!r} must not be listed; loops are implied")
-        key = _canonical(i - 1, j - 1)
+        key = (min(i, j) - 1, max(i, j) - 1)
         if key in seen:
             raise GraphFormatError(f"duplicate edge {pair!r}")
         seen.add(key)
-        edges.add(key)
-    return Graph(n, frozenset(edges))
+    return Graph(n, seen)

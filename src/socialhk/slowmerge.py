@@ -127,10 +127,11 @@ def _rational_eigenspace(g: Graph, lam_float: float):
     if abs(float(lam) - lam_float) > 1e-9:
         return None
     n = g.n
-    deg = [g.degree(i) for i in range(n)]
+    deg = g.degrees.tolist()
+    adj = g.adjacency_matrix().tolist()
     m = [
         [
-            (Fraction(1, deg[i]) if g.has_edge(i, j) else Fraction(0))
+            (Fraction(1, deg[i]) if adj[i][j] else Fraction(0))
             - (lam if i == j else 0)
             for j in range(n)
         ]

@@ -104,11 +104,6 @@ def decompose(g: Graph) -> SpectralDecomposition:
     return SpectralDecomposition(vals, back, clusters, degrees)
 
 
-def eigenspace_basis(dec: SpectralDecomposition, cluster) -> np.ndarray:
-    """Columns spanning the eigenspace of one eigenvalue cluster."""
-    return dec.eigenvectors[:, list(cluster)]
-
-
 # -- spectrum report for connected incomplete graphs ------------------------
 
 

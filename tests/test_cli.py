@@ -162,6 +162,17 @@ class TestExitCodes:
         assert run(["simulate", "--graph", "nosuch.json", "--x0", "0,0"]) == 1
         assert run(["check-merge", "--graph", "path:4", "--vp", "1,9", "--vq", "2"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--graph", "path:abc", "--x0", "0,0"],
+        ["--graph", "path:0", "--x0", "0,0"],
+        ["--graph", "cycle:-3", "--x0", "0,0"],
+        ["--graph", "rpartite:1,x", "--x0", "0,0"],
+        ["--graph", "path:3", "--x0", "uniform-box:lo=0,hi=abc"],
+    ])
+    def test_malformed_arguments_are_usage_errors(self, argv, capsys):
+        assert run(["--seed", "1", "simulate", *argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "edges": [[1, 5]]}')

@@ -233,8 +233,7 @@ class TestEngine:
 
 def energy(g, x, bound):
     """Energy with every non-loop edge of ``g`` live."""
-    src, dst = dynamics._edge_arrays(g)[:2]
-    return dynamics._energy(g.n, src, dst, x, bound)
+    return dynamics._energy(g.n, g.src, g.dst, x, bound)
 
 
 class TestEnergy:

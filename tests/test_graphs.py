@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,153 @@ def assert_matches_loop(g: graphs.Graph):
     ref_phi, ref_witness = loop_conductance(g)
     assert phi.hex() == ref_phi.hex()
     assert witness == ref_witness
+
+
+def union_find_components(n: int, src, dst) -> tuple:
+    """Reference: the Python union-find that ``graphs.component_labels``
+    replaced.  Components of the links ``src[e]-dst[e]``, each sorted,
+    ordered by minimum vertex."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in zip(list(src), list(dst)):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[rj] = ri
+    groups = {}
+    for v in range(n):  # ascending, so every group and the group order come sorted
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def assert_labels_match(n, src, dst):
+    labels = graphs.component_labels(n, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp))
+    comps = union_find_components(n, src, dst)
+    assert graphs.label_components(labels) == comps
+    want = np.empty(n, dtype=np.intp)
+    for comp in comps:
+        want[list(comp)] = comp[0]
+    assert np.array_equal(labels, want)
+
+
+class TestComponentLabels:
+    def test_random_graphs(self):
+        rng = philox(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            m = int(rng.integers(0, 2 * n + 1))
+            src, dst = rng.integers(0, n, m), rng.integers(0, n, m)  # loops and repeats included
+            assert_labels_match(n, src, dst)
+
+    def test_shuffled_paths(self):
+        rng = philox(43)
+        for n in (2, 3, 17, 256, 1000, 4096):
+            perm = rng.permutation(n)
+            order = rng.permutation(n - 1)  # links in random order
+            src, dst = perm[:-1][order], perm[1:][order]
+            assert_labels_match(n, src, dst)
+            assert not graphs.component_labels(n, src, dst).any()
+
+    def test_edgeless_and_single_vertex(self):
+        for n in (1, 2, 7):
+            assert_labels_match(n, [], [])
+        assert graphs.label_components(graphs.component_labels(1, np.array([0]), np.array([0]))) == ((0,),)
+
+    def test_groups(self):
+        labels = graphs.component_labels(6, np.array([4, 1, 5]), np.array([1, 3, 2]))
+        order, starts = graphs.label_groups(labels)
+        assert order.tolist() == [0, 1, 3, 4, 2, 5] and starts.tolist() == [0, 1, 4]
+
+
+def random_graph(rng, n):
+    """A random edge set in random orientation, with some listed loops."""
+    p = float(rng.uniform(0.0, 0.6))
+    edges = {(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    edges |= {(i, i) for i in range(n) if rng.random() < 0.3}
+    return edges
+
+
+class TestGraphViews:
+    def test_views_match_a_frozenset_reference(self):
+        rng = philox(47)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            listed = random_graph(rng, n)
+            g = graphs.Graph(n, frozenset(listed))
+            ref = {(min(i, j), max(i, j)) for i, j in listed} | {(i, i) for i in range(n)}
+            assert g.edges == frozenset(ref)
+            assert g.nonloop_edges() == sorted((i, j) for i, j in ref if i != j)
+            adj = np.zeros((n, n))
+            for i, j in ref:
+                adj[i, j] = adj[j, i] = 1.0
+            assert np.array_equal(g.adjacency_matrix(), adj)
+            for i in range(-1, n + 1):
+                for j in range(-1, n + 1):
+                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in ref)
+            nbrs = [tuple(j for j in range(n) if (min(i, j), max(i, j)) in ref) for i in range(n)]
+            assert [g.neighbors(i) for i in range(n)] == nbrs
+            assert [g.degree(i) for i in range(n)] == [len(nb) for nb in nbrs]
+            assert g.degrees.tolist() == [len(nb) for nb in nbrs]
+            comps = union_find_components(n, *zip(*ref))
+            assert g.is_connected() == (len(comps) == 1)
+            assert g.is_complete() == (len(ref) == n * (n + 1) // 2)
+            again = graphs.Graph(n, g.edges)
+            assert again == g and hash(again) == hash(g)
+            assert graphs.Graph(n, frozenset(ref) | {(0, 0)}) == g
+            if len(ref) > n:
+                assert graphs.Graph(n, frozenset(ref - {g.nonloop_edges()[0]})) != g
+
+    def test_masked_and_induced_match_the_constructor(self):
+        rng = philox(53)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            g = graphs.Graph(n, frozenset(random_graph(rng, n)))
+            mask = rng.random(len(g.src)) < 0.5
+            kept = [e for e, live in zip(g.nonloop_edges(), mask) if live]
+            assert g.masked(mask) == graphs.Graph(n, kept)
+            vs = sorted(set(rng.integers(0, n, int(rng.integers(1, n + 1))).tolist()))
+            sub, got = graphs.induced_subgraph(g, vs)
+            local = {v: k for k, v in enumerate(vs)}
+            want = graphs.Graph(len(vs), [(local[i], local[j]) for i, j in g.edges if i in local and j in local])
+            assert got == tuple(vs) and sub == want and hash(sub) == hash(want)
+
+    def test_arrays_are_read_only(self):
+        g = graphs.cycle_graph(5)
+        for a in (g.src, g.dst, *g.entries):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        with pytest.raises(AttributeError):
+            g.n = 4
+
+    def test_pickle_round_trip(self):
+        g = graphs.dumbbell_graph(7)
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g and hash(again) == hash(g) and again.neighbors(3) == g.neighbors(3)
+
+    def test_rejects_non_integer_endpoints(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            graphs.Graph(3, frozenset({(0.5, 1)}))
+        with pytest.raises(ValueError, match="non-integer"):
+            graphs.Graph(3, [(0, 1.0)])
+        with pytest.raises(ValueError):
+            graphs.Graph(2.0)
+        # numpy integers are integers
+        g = graphs.Graph(np.int64(3), [(np.int64(2), np.int32(0))])
+        assert g == graphs.Graph(3, [(0, 2)]) and g.degrees.tolist() == [2, 1, 2]
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            graphs.Graph(3, [(0, 3)])
+        with pytest.raises(ValueError, match="out of range"):
+            graphs.Graph(3, [(-1, 2)])
+        with pytest.raises(ValueError):
+            graphs.Graph(0)
 
 
 class TestDegreeAndAdjacency:
