@@ -1,9 +1,13 @@
 import dataclasses
+import math
+from collections import deque
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from socialhk import dynamics, graphs, slowmerge, spectral
+from socialhk import dynamics, graphs, sampling, slowmerge, spectral
 from socialhk.dynamics import OpinionState
 from socialhk.errors import (
     BudgetExhausted,
@@ -24,6 +28,96 @@ def star_with_tail():
     g = graphs.Graph(7, frozenset(edges))
     x0 = OpinionState([0, 0, 0, 0, 0, 1.0, 2.0], 1.0)
     return g, x0
+
+
+def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None,
+                        window=dynamics.EXACT_WINDOW):
+    """Reference: the step-by-step loop that ``dynamics.simulate_exact``
+    replaced past lock by a matrix power."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    fracs = [Fraction(v) for v in opinions]
+    bound = Fraction(confidence_bound)
+    denom = math.lcm(*(f.denominator for f in fracs))
+    y = [int(f * denom) for f in fracs]
+    bp, bq = bound.numerator, bound.denominator
+    n = gph.n
+    src, dst = gph.src, gph.dst
+    phys = gph.nonloop_edges()
+
+    def mask_now(yv, m):
+        lim = bp * m
+        return np.array([bq * abs(yv[i] - yv[j]) <= lim for i, j in phys], dtype=bool)
+
+    def enter(k, mask):
+        labels = graphs.component_labels(n, src[mask], dst[mask])
+        traj.epochs.append(dynamics.Epoch(k, mask, labels))
+        order, starts = graphs.label_groups(labels)
+        return labels, order.tolist(), starts.tolist() + [n]
+
+    def lock_now(yv, m):
+        ys = [yv[v] for v in grouped]
+        hulls = [(bq * min(ys[a:b]), bq * max(ys[a:b])) for a, b in zip(cuts, cuts[1:])]
+        return dynamics._lock_holds(*np.array(hulls, dtype=object).T, bp * m)
+
+    def project(yv, m):
+        return np.array([v / m for v in yv])
+
+    traj = dynamics.Trajectory(gph=gph, confidence_bound=float(bound), states=[project(y, denom)],
+                               epochs=[], events=[], energies=None, is_exact=True)
+    mask = mask_now(y, denom)
+    labels, grouped, cuts = enter(0, mask)
+    if lock_now(y, denom):
+        traj.lock_k = 0
+        traj.lock_state = traj.states[0]
+        traj.events.append(dynamics.Event(0, "lock"))
+
+    recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
+    neigh = None
+    for k in range(1, max_steps + 1):
+        if neigh is None:
+            links = list(zip(src[mask].tolist(), dst[mask].tolist()))
+            _, s, deg = dynamics._averaging(gph, mask)
+            s, deg = s.tolist(), deg.tolist()
+            lcm = math.lcm(*deg)
+            ends = list(accumulate(deg))
+            neigh = tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, ends))
+        if all(y[i] == y[j] for i, j in links):
+            traj.termination_k = k - 1
+            traj.events.append(dynamics.Event(k - 1, "termination"))
+            break
+        y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
+        denom *= lcm
+
+        if not traj.locked:
+            new_mask = mask_now(y, denom)
+            if not np.array_equal(new_mask, mask):
+                traj.events.extend(dynamics._diff_events(k, gph, mask, new_mask, labels))
+                mask = new_mask
+                labels, grouped, cuts = enter(k, mask)
+                neigh = None
+
+        traj.n_steps = k
+        if len(traj.states) <= dynamics.EXACT_FLOAT_STATES:
+            traj.states.append(project(y, denom))
+        else:
+            traj.truncated = True
+        recent.append((k, tuple(y), denom))
+
+        if not traj.locked and lock_now(y, denom):
+            traj.lock_k = k
+            traj.lock_state = project(y, denom)
+            traj.events.append(dynamics.Event(k, "lock"))
+
+        if dynamics._check_stop(stop_on, traj.locked, traj.termination_k is not None):
+            break
+    else:
+        if stop_on is not None:
+            traj.exact_window = list(recent)
+            raise BudgetExhausted(max_steps, traj)
+
+    traj.exact_window = list(recent)
+    return traj
 
 
 class TestInfluenceGraph:
@@ -310,6 +404,14 @@ class TestEnergyCertificates:
             rep = dynamics.verify_energy_certificates(traj)
             assert rep.ok, (g, x0, rep.violations)
 
+    def test_report_flags_a_history_cap_prefix(self):
+        st = sampling.narrow_spread(4, 1.0, 0.0, 0.5, seed=3)
+        capped = dynamics.simulate(path_graph(4), st, 10_000, history_cap=100)
+        rep = dynamics.verify_energy_certificates(capped)
+        assert (rep.ok, rep.n_steps, capped.n_steps, rep.truncated) == (True, 100, 116, True)
+        full = dynamics.verify_energy_certificates(dynamics.simulate(path_graph(4), st, 10_000))
+        assert (full.n_steps, full.truncated) == (116, False)
+
 
 class TestSteadyState:
     def test_p3_weighted_mean(self):
@@ -581,3 +683,123 @@ class TestExactEngine:
         te = dynamics.simulate_exact(path_graph(3), [0.0, 0.3, 0.6], 1.0, 50)
         ss = dynamics.steady_state(te)
         assert ss.exact_values and float(ss.exact_values[0]) == pytest.approx(0.3, abs=1e-15)
+
+
+def exact_corpus():
+    """Seeded (graph, opinions) cases for the exact engine: random connected
+    graphs of 2-8 vertices, paths, stars, K3 and larger complete graphs.
+    Narrow states lock at step 0; wide ones break links first and lock later,
+    often into several components."""
+    rng = philox(707)
+    shapes = [random_connected_graph(rng, int(rng.integers(2, 9))) for _ in range(16)]
+    shapes += [path_graph(n) for n in (2, 3, 4, 6)] + [graphs.star_graph(n) for n in (4, 6)]
+    shapes += [complete_graph(n) for n in (3, 4, 5)]
+    cases = []
+    for g in shapes:
+        for width in (0.8, 4.0):
+            cases.append((g, [float(v) for v in np.round(rng.uniform(0, width, g.n), 3)]))
+    return cases
+
+
+def late_lock_case():
+    """path:8 with a pendant vertex 8 joined to vertex 0 and held R + 2^-60
+    above the path's limit: vertex 8 never links, and the all-pairs lock test
+    waits until the path's hull is that close to its limit (step 655)."""
+    x = [Fraction(i, 8) for i in range(8)]
+    d = [2] + [3] * 6 + [2]
+    limit = sum(di * xi for di, xi in zip(d, x)) / sum(d)
+    g = graphs.Graph(9, frozenset({(i, i + 1) for i in range(7)} | {(0, 8)}))
+    return g, x + [limit + 1 + Fraction(1, 2**60)]
+
+
+def exact_fields(traj):
+    return (
+        traj.exact_window, [s.tobytes() for s in traj.states], traj.events,
+        [(e.k_start, e.mask.tobytes(), e.labels.tobytes()) for e in traj.epochs],
+        traj.lock_k, None if traj.lock_state is None else traj.lock_state.tobytes(),
+        traj.termination_k, traj.n_steps, traj.truncated,
+    )
+
+
+def run_exact(fn, *args, **kwargs):
+    """(trajectory, max_steps of BudgetExhausted or None) from either engine."""
+    try:
+        return fn(*args, **kwargs), None
+    except BudgetExhausted as exc:
+        return exc.trajectory, exc.max_steps
+
+
+class TestExactJump:
+    FLOOR = dynamics.EXACT_FLOAT_STATES + dynamics.EXACT_WINDOW
+
+    def test_matches_the_step_loop_bitwise(self):
+        cases = exact_corpus() + [late_lock_case()]
+        seen = {"lock0": 0, "lock_later": 0, "jump": 0, "exhausted": 0, "terminated": 0}
+        for idx, (g, x0) in enumerate(cases):
+            budgets = (200, self.FLOOR, self.FLOOR + 70) if idx < len(cases) - 1 else (900,)
+            for budget in budgets:
+                for stop_on in (None, "lock", "termination"):
+                    traj, exhausted = run_exact(dynamics.simulate_exact, g, x0, 1.0, budget, stop_on=stop_on)
+                    ref, ref_exhausted = run_exact(loop_simulate_exact, g, x0, 1.0, budget, stop_on=stop_on)
+                    assert (exact_fields(traj), exhausted) == (exact_fields(ref), ref_exhausted), \
+                        (idx, budget, stop_on)
+                    seen["exhausted"] += exhausted is not None
+                    seen["jump"] += traj.exact_jump is not None
+                    seen["terminated"] += traj.termination_k is not None
+                    if traj.locked:
+                        seen["lock0" if traj.lock_k == 0 else "lock_later"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_matches_the_step_loop_with_other_windows(self, window):
+        x0 = [0.1, 0.0, -0.1]
+        traj = dynamics.simulate_exact(path_graph(3), x0, 1.0, 600, window=window)
+        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 600 - window)
+        ref = loop_simulate_exact(path_graph(3), x0, 1.0, 600, window=window)
+        assert exact_fields(traj) == exact_fields(ref)
+
+    def test_locked_runs_terminate_by_lock_plus_one_or_never(self):
+        # The frozen update is diagonalizable, so a state past lock_k + 1
+        # repeats only if the one at lock_k + 1 already does.
+        several = complete_at_next = 0
+        for g, x0 in exact_corpus():
+            traj = loop_simulate_exact(g, x0, 1.0, 300)
+            if not traj.locked:
+                continue
+            assert traj.termination_k is None or traj.termination_k <= traj.lock_k + 1, (g, x0)
+            ig = traj.influence_graph_at(traj.lock_k)
+            several += len(ig.components) > 1
+            complete_at_next += g.is_complete() and traj.termination_k == traj.lock_k + 1
+        assert several >= 10 and complete_at_next >= 3, (several, complete_at_next)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fires_on_short_paths(self, n):
+        x0 = [float(v) for v in philox(n).uniform(-0.25, 0.25, n)]
+        traj = dynamics.simulate_exact(path_graph(n), x0, 1.0, 10_000)
+        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 10_000 - dynamics.EXACT_WINDOW)
+        assert exact_fields(traj) == exact_fields(loop_simulate_exact(path_graph(n), x0, 1.0, 10_000))
+
+    def test_starts_two_steps_past_a_late_lock(self):
+        g, x0 = late_lock_case()
+        traj = dynamics.simulate_exact(g, x0, 1.0, 2_000)
+        assert traj.lock_k == 655 and traj.exact_jump == (657, 2_000 - dynamics.EXACT_WINDOW)
+
+    def test_does_not_fire_where_stepping_is_cheaper(self):
+        x0 = [float(v) for v in philox(32).uniform(-0.25, 0.25, 32)]
+        traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 10_000)
+        assert traj.locked and traj.exact_jump is None
+
+    def test_does_not_fire_without_a_stretch_to_skip(self):
+        x0 = [0.1, 0.0, -0.1]
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR).exact_jump is None
+        k0 = dynamics.EXACT_FLOAT_STATES
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 1).exact_jump == (k0, k0 + 1)
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, 10_000, stop_on="lock").exact_jump is None
+
+    def test_does_not_fire_on_an_unlocked_run(self):
+        # path:7 cut at vertex 3 into two path:3 components whose hulls stay
+        # within R of each other: never locked, never terminated
+        x0 = [0.0, 0.1, 0.2, 5.0, 0.5, 0.6, 0.7]
+        g = graphs.Graph(7, frozenset({(i, i + 1) for i in range(6)}))
+        traj = dynamics.simulate_exact(g, x0, 1.0, 1_000)
+        assert not traj.locked and traj.termination_k is None and traj.exact_jump is None
