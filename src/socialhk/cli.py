@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -84,23 +85,35 @@ def _parse_kv(arg: str) -> dict:
     return out
 
 
+def _sample(n: int, bound: float, mode, seed, params: dict) -> dynamics.OpinionState:
+    try:
+        return sampling.sample_initial_state(n, bound, mode, seed, **params)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad sampler {mode!r}: {exc}") from None
+
+
 def _parse_x0(source: str, n: int, bound: float, seed) -> dynamics.OpinionState:
     if os.path.exists(source):
-        with open(source) as fh:
-            payload = json.load(fh)
-        vals = payload["opinions"] if isinstance(payload, dict) else payload
-        return dynamics.OpinionState(np.array(vals, dtype=float), bound)
+        try:
+            with open(source) as fh:
+                payload = json.load(fh)
+            vals = payload["opinions"] if isinstance(payload, dict) else payload
+            return dynamics.OpinionState(np.array(vals, dtype=float), bound)
+        except KeyError:
+            raise UsageError(f"initial-state file {source!r} has no 'opinions' field") from None
+        except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            raise UsageError(f"cannot read initial state from {source!r}: {exc}") from None
     name, _, arg = source.partition(":")
     if name == "four-path":
         kv = _parse_kv(arg)
+        if "delta" not in kv:
+            raise UsageError("four-path needs delta=<value>")
         state, _pred = slowmerge.four_path_family(kv["delta"], bound)
         return state
     if name in ("narrow-spread", "uniform-box"):
         if seed is None:
             raise UsageError(f"sampler {name!r} requires --seed")
-        kv = _parse_kv(arg)
-        mode = name.replace("-", "_")
-        return sampling.sample_initial_state(n, bound, mode, seed, **kv)
+        return _sample(n, bound, name.replace("-", "_"), seed, _parse_kv(arg))
     if ":" not in source:
         try:
             vals = [float(v) for v in source.split(",")]
@@ -333,10 +346,8 @@ def _sweep_row(g, cfg, row_id, params, graph_bounds) -> dict:
         else:
             state, predicted = slowmerge.four_path_family(delta, bound)
     else:
-        state = sampling.sample_initial_state(
-            g.n, bound, cfg["sampler"]["mode"], params["seed"],
-            **{k: v for k, v in cfg["sampler"].items() if k != "mode"},
-        )
+        sampler = dict(cfg["sampler"])
+        state = _sample(g.n, bound, sampler.pop("mode", None), params["seed"], sampler)
         predicted = None
     traj = dynamics.simulate(g, state, max_steps)
     row = {"row": row_id, **params, "predicted_merge": predicted}
@@ -376,7 +387,7 @@ def _cmd_sweep(args) -> int:
     if "deltas" in cfg:
         jobs = [{"delta": d} for d in cfg["deltas"]]
     elif "seeds" in cfg:
-        if "sampler" not in cfg:
+        if not isinstance(cfg.get("sampler"), dict):
             raise UsageError("config with 'seeds' needs a 'sampler' section")
         if any(s == 0 for s in cfg["seeds"]):
             raise InvalidSeed("seed 0 is reserved; pick any other integer")
@@ -395,6 +406,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _positive(cast):
+    """argparse type: a finite ``cast`` (float or int) above 0."""
+    def parse(text: str):
+        try:
+            val = cast(text)
+        except ValueError:
+            val = math.nan
+        if not (math.isfinite(val) and val > 0):
+            raise argparse.ArgumentTypeError(f"expected a finite {cast.__name__} > 0, got {text!r}")
+        return val
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="socialhk", description=__doc__)
     p.add_argument("--seed", type=int, default=None, help="seed for samplers (0 is invalid)")
@@ -405,9 +429,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("simulate", help="run one trajectory and write its records")
     s.add_argument("--graph", required=True)
     s.add_argument("--x0", required=True)
-    s.add_argument("--R", type=float, default=1.0)
-    s.add_argument("--max-steps", type=int, default=1000)
-    s.add_argument("--eps", type=float, nargs="*", default=[])
+    s.add_argument("--R", type=_positive(float), default=1.0)
+    s.add_argument("--max-steps", type=_positive(int), default=1000)
+    s.add_argument("--eps", type=_positive(float), nargs="*", default=[])
     s.add_argument("--stop-on", choices=("none", "lock", "termination", "eps"), default="none")
     s.set_defaults(func=_cmd_simulate)
 
@@ -417,8 +441,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("bounds", help="closed-form convergence-time bounds")
     s.add_argument("--graph", required=True)
-    s.add_argument("--eps", type=float, default=1e-2)
-    s.add_argument("--R", type=float, default=1.0)
+    s.add_argument("--eps", type=_positive(float), default=1e-2)
+    s.add_argument("--R", type=_positive(float), default=1.0)
     s.set_defaults(func=_cmd_bounds)
 
     s = sub.add_parser("check-merge", help="sufficient/necessary slow-merge verdicts")
@@ -432,7 +456,7 @@ def build_parser() -> _Parser:
     s.add_argument("--vp", required=True)
     s.add_argument("--vq", required=True)
     s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--R", type=float, default=1.0)
+    s.add_argument("--R", type=_positive(float), default=1.0)
     s.set_defaults(func=_cmd_construct)
 
     s = sub.add_parser("sweep", help="run a parameter sweep from a JSON config")

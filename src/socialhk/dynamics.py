@@ -5,12 +5,17 @@ influence neighbors: the agents it is joined to in the physical graph AND
 whose opinions lie within the confidence bound.  Equivalently
 ``x[k+1] = D^{-1} A_adj x[k]`` over the influence graph at time k.
 
-Two engines share the same event semantics:
+Two engines observe their states with one routine, ``_observe``: the
+live-link mask, link and merge events, epochs, the lock test on
+per-component opinion hulls and the stop rule, at step 0 and after every
+update until lock.  They differ only in the update and the termination test:
 
-* the float engine (``simulate``) runs IEEE doubles and is the default;
+* the float engine (``simulate``) runs IEEE doubles and is the default; a
+  state terminates when the update repeats it bitwise;
 * the exact engine (``simulate_exact``) runs integer arithmetic over a
   common denominator, so state equality and neighbor tests are decided in
-  exact rational arithmetic.  It exists because a float trajectory collapses
+  exact rational arithmetic; a state terminates when every live link joins
+  equal opinions.  It exists because a float trajectory collapses
   onto a bitwise fixed point once deviations reach rounding scale, which
   misreports genuinely non-terminating dynamics.  Once locked, its update is
   one fixed diagonalizable integer matrix, so termination is decided two
@@ -83,8 +88,8 @@ class OpinionState:
         object.__setattr__(self, "opinions", x)
         if not np.all(np.isfinite(x)):
             raise ValueError("opinions must be finite")
-        if not self.confidence_bound > 0:
-            raise ValueError("confidence bound must be positive")
+        if not (math.isfinite(self.confidence_bound) and self.confidence_bound > 0):
+            raise ValueError("confidence bound must be finite and positive")
 
     @property
     def n(self) -> int:
@@ -281,12 +286,35 @@ def _check_stop(stop_on, locked, terminated, state_dist=None):
     raise ValueError(f"unknown stop condition {stop_on!r}")
 
 
+def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
+    """Log the events of step ``k`` of an unlocked run, open an epoch if its
+    links changed (the first at k = 0) and test the lock on the component
+    hulls of ``z``, the state scaled so that links live at
+    ``|z_i - z_j| <= limit``.  ``groups`` is the current epoch's
+    ``label_groups``; returns the grouping after step ``k`` and whether
+    ``stop_on`` ends the run here (distance stops are the float loop's)."""
+    gph = traj.gph
+    mask = _live_mask(gph, z, limit)
+    if not traj.epochs or not np.array_equal(mask, traj.epochs[-1].mask):
+        if traj.epochs:
+            _, old, labels = traj.epochs[-1]
+            traj.events.extend(_diff_events(k, gph, old, mask, labels))
+        labels = component_labels(gph.n, gph.src[mask], gph.dst[mask])
+        traj.epochs.append(Epoch(k, mask, labels))
+        groups = label_groups(labels)
+    order, starts = groups
+    zs = z[order]
+    if _lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
+        traj.lock_k = k
+        traj.events.append(Event(k, "lock"))
+    return groups, _check_stop(stop_on, traj.locked, False)
+
+
 def simulate(
     gph: Graph,
     state: OpinionState,
     max_steps: int,
     stop_on=None,
-    neighbor_tol: float = 0.0,
     history_cap: int = HISTORY_CAP,
 ) -> Trajectory:
     """Float-arithmetic simulation for up to ``max_steps`` updates.
@@ -296,75 +324,51 @@ def simulate(
     not met within the budget, BudgetExhausted carries the partial
     trajectory.  Termination (bitwise state repetition) always stops the run
     since nothing can change afterwards.
+
+    Links, events, epochs, the lock and the stop rule come from ``_observe``,
+    as in ``simulate_exact``; this loop adds the float update, the bitwise
+    termination test, energies, ``("eps", value)`` stops and ``history_cap``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
     n, bound = gph.n, state.confidence_bound
-    limit = bound + neighbor_tol
     src, dst = gph.src, gph.dst
     x = np.array(state.opinions, dtype=float)
 
-    def enter(k, mask):
-        """Start an epoch; returns the arrays its steps reuse."""
-        labels = component_labels(n, src[mask], dst[mask])
-        traj.epochs.append(Epoch(k, mask, labels))
-        return (mask, labels, src[mask], dst[mask], *label_groups(labels), _averaging(gph, mask))
-
-    def lock_holds(xv):
-        xs = xv[perm]
-        return _lock_holds(np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts), bound)
-
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[], energies=[])
-    mask, labels, live_src, live_dst, perm, starts, avg = enter(0, _live_mask(gph, x, limit))
-    traj.energies.append(_energy(n, live_src, live_dst, x, bound))
-    if lock_holds(x):
-        traj.lock_k = 0
-        traj.lock_state = x.copy()
-        traj.events.append(Event(0, "lock"))
-        dist0 = None
-        if isinstance(stop_on, tuple):
-            dist0 = float(np.linalg.norm(x - steady_state(traj).x_inf))
-        if _check_stop(stop_on, True, False, dist0):
-            return traj
-
-    x_inf = None
-    for k in range(1, max_steps + 1):
-        x_new = _average(x, *avg)
-
-        if np.array_equal(x_new, x):
-            traj.termination_k = k - 1
-            traj.events.append(Event(k - 1, "termination"))
-            break
+    groups = x_inf = None
+    for k in range(max_steps + 1):
+        if k:
+            x_new = _average(x, *avg)
+            if np.array_equal(x_new, x):
+                traj.termination_k = k - 1
+                traj.events.append(Event(k - 1, "termination"))
+                break
+            x = x_new
+            traj.n_steps = k
+            if len(traj.states) <= history_cap:
+                traj.states.append(x)
+            else:
+                traj.truncated = True
 
         if not traj.locked:  # a locked graph is frozen: no recomputation needed
-            new_mask = _live_mask(gph, x_new, limit)
-            if not np.array_equal(new_mask, mask):
-                traj.events.extend(_diff_events(k, gph, mask, new_mask, labels))
-                mask, labels, live_src, live_dst, perm, starts, avg = enter(k, new_mask)
-
-        x = x_new
-        traj.n_steps = k
-        if len(traj.states) <= history_cap:
-            traj.states.append(x)
-        else:
-            traj.truncated = True
+            groups, stop = _observe(traj, k, x, bound, groups, stop_on)
+            if traj.lock_k == k:
+                traj.lock_state = x.copy()
+            if traj.epochs[-1].k_start == k:
+                mask = traj.epochs[-1].mask
+                live_src, live_dst, avg = src[mask], dst[mask], _averaging(gph, mask)
         traj.energies.append(_energy(n, live_src, live_dst, x, bound))
 
-        if not traj.locked and lock_holds(x):
-            traj.lock_k = k
-            traj.lock_state = x.copy()
-            traj.events.append(Event(k, "lock"))
-            x_inf = None
-
-        dist = None
+        if stop:
+            break
         if isinstance(stop_on, tuple) and traj.locked:
             if x_inf is None:
                 x_inf = steady_state(traj).x_inf
-            dist = float(np.linalg.norm(x - x_inf))
-        if _check_stop(stop_on, traj.locked, traj.termination_k is not None, dist):
-            break
+            if _check_stop(stop_on, True, False, float(np.linalg.norm(x - x_inf))):
+                break
     else:
         if stop_on is not None:
             raise BudgetExhausted(max_steps, traj)
@@ -443,6 +447,12 @@ def simulate_exact(
     recorded for inspection; the exact states of the final ``window`` steps
     are kept for tail measurements.
 
+    Links, events, epochs, the lock and the stop rule come from ``_observe``,
+    as in ``simulate``, fed the numerators times the bound's denominator
+    against the bound's numerator times the common denominator; this loop
+    adds the integer update, the termination test, the exact window and the
+    locked-stretch jump.
+
     After lock every step multiplies the numerators by one integer matrix
     M = lcm * D^-1 (Adj + I) and the denominator by lcm.  M is similar to a
     symmetric matrix, so it is diagonalizable, and a state past lock_k + 1
@@ -469,96 +479,62 @@ def simulate_exact(
     denom = math.lcm(*(f.denominator for f in fracs))
     y = [int(f * denom) for f in fracs]
     bp, bq = bound.numerator, bound.denominator
-    n = gph.n
-    src, dst = gph.src, gph.dst
-    phys = gph.nonloop_edges()
-
-    # The exact tests compare bq * gap with bp * m, i.e. gap / m with bp / bq.
-    def mask_now(yv, m):
-        lim = bp * m
-        return np.array([bq * abs(yv[i] - yv[j]) <= lim for i, j in phys], dtype=bool)
-
-    def enter(k, mask):
-        """Start an epoch; returns its labels and its vertices grouped by component."""
-        labels = component_labels(n, src[mask], dst[mask])
-        traj.epochs.append(Epoch(k, mask, labels))
-        order, starts = label_groups(labels)
-        return labels, order.tolist(), starts.tolist() + [n]
-
-    def lock_now(yv, m):
-        ys = [yv[v] for v in grouped]
-        hulls = [(bq * min(ys[a:b]), bq * max(ys[a:b])) for a, b in zip(cuts, cuts[1:])]
-        return _lock_holds(*np.array(hulls, dtype=object).T, bp * m)
 
     def project(yv, m):
         return np.array([v / m for v in yv])  # int true division rounds correctly
 
     traj = Trajectory(gph=gph, confidence_bound=float(bound), states=[project(y, denom)], epochs=[],
                       events=[], energies=None, is_exact=True)
-    mask = mask_now(y, denom)
-    labels, grouped, cuts = enter(0, mask)
-    if lock_now(y, denom):
-        traj.lock_k = 0
-        traj.lock_state = traj.states[0]
-        traj.events.append(Event(0, "lock"))
-
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
-    neigh = None
+    groups = neigh = None
     k = 0
-    while k < max_steps:
-        k += 1
-        if neigh is None:
-            links = list(zip(src[mask].tolist(), dst[mask].tolist()))
-            # each vertex's live entries: itself first, then its neighbors
-            _, s, deg = _averaging(gph, mask)
-            s, deg = s.tolist(), deg.tolist()
-            lcm = math.lcm(*deg)
-            ends = list(accumulate(deg))
-            neigh = tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, ends))
-        # An average equals its terms only when they are all equal, so the
-        # update fixes y exactly when y is constant across every influence
-        # link; equality tests on big integers mostly fail at the top digit.
-        for i, j in links:
-            if y[i] != y[j]:
+    while k <= max_steps:
+        if k:
+            if neigh is None:
+                mask = traj.epochs[-1].mask
+                links = list(zip(gph.src[mask].tolist(), gph.dst[mask].tolist()))
+                # each vertex's live entries: itself first, then its neighbors
+                _, s, deg = _averaging(gph, mask)
+                s, deg = s.tolist(), deg.tolist()
+                lcm = math.lcm(*deg)
+                ends = list(accumulate(deg))
+                neigh = tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, ends))
+            # An average equals its terms only when they are all equal, so the
+            # update fixes y exactly when y is constant across every influence
+            # link; equality tests on big integers mostly fail at the top digit.
+            for i, j in links:
+                if y[i] != y[j]:
+                    break
+            else:
+                traj.termination_k = k - 1
+                traj.events.append(Event(k - 1, "termination"))
                 break
-        else:
-            traj.termination_k = k - 1
-            traj.events.append(Event(k - 1, "termination"))
-            break
-        # sum() starts from y[i], not 0, which saves a big-integer copy
-        y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
-        denom *= lcm
+            # sum() starts from y[i], not 0, which saves a big-integer copy
+            y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
+            denom *= lcm
+            traj.n_steps = k
+            if len(traj.states) <= EXACT_FLOAT_STATES:
+                traj.states.append(project(y, denom))
+            else:
+                traj.truncated = True
+            recent.append((k, tuple(y), denom))
 
         if not traj.locked:
-            new_mask = mask_now(y, denom)
-            if not np.array_equal(new_mask, mask):
-                traj.events.extend(_diff_events(k, gph, mask, new_mask, labels))
-                mask = new_mask
-                labels, grouped, cuts = enter(k, mask)
+            # bq * |y_i - y_j| <= bp * denom is |y_i - y_j| / denom <= bp / bq
+            groups, stop = _observe(traj, k, bq * np.array(y, dtype=object), bp * denom, groups, stop_on)
+            if traj.lock_k == k:
+                traj.lock_state = project(y, denom)
+            if traj.epochs[-1].k_start == k:
                 neigh = None
-
-        traj.n_steps = k
-        if len(traj.states) <= EXACT_FLOAT_STATES:
-            traj.states.append(project(y, denom))
-        else:
-            traj.truncated = True
-
-        recent.append((k, tuple(y), denom))
-
-        if not traj.locked and lock_now(y, denom):
-            traj.lock_k = k
-            traj.lock_state = project(y, denom)
-            traj.events.append(Event(k, "lock"))
-
-        if _check_stop(stop_on, traj.locked, traj.termination_k is not None):
-            break
+            if stop:
+                break
 
         # Past lock_k + 1 without termination no later state repeats (see
         # the docstring), so the locked stretch up to the final window is one
         # power of the frozen update, taken per component.
         gap = max_steps - window - k
         if traj.locked and k == max(traj.lock_k + 2, EXACT_FLOAT_STATES) and gap > 0:
-            components = [grouped[a:b] for a, b in zip(cuts, cuts[1:])]
+            components = [c.tolist() for c in np.split(groups[0], groups[1][1:])]
             if _jump_pays([len(c) for c in components], len(s), gap, math.log2(lcm), denom.bit_length()):
                 y = _locked_power(neigh, components, y, gap)
                 denom *= lcm**gap
@@ -567,12 +543,11 @@ def simulate_exact(
                 traj.n_steps = k
                 traj.truncated = True  # the jump lands past the recorded projections
                 recent.append((k, tuple(y), denom))
-    else:
-        if stop_on is not None:
-            traj.exact_window = list(recent)
-            raise BudgetExhausted(max_steps, traj)
+        k += 1
 
     traj.exact_window = list(recent)
+    if k > max_steps and stop_on is not None:  # the loop ran out of budget
+        raise BudgetExhausted(max_steps, traj)
     return traj
 
 

@@ -42,9 +42,9 @@ def narrow_spread(n: int, bound: float, center: float, width: float, seed: int) 
 
 
 def sample_initial_state(n: int, bound: float, mode: str, seed: int, **params) -> OpinionState:
-    """Dispatch by mode name: ``uniform_box(lo, hi)`` or ``narrow_spread(center, width)``."""
-    if mode == "uniform_box":
-        return uniform_box(n, bound, params["lo"], params["hi"], seed)
-    if mode == "narrow_spread":
-        return narrow_spread(n, bound, params["center"], params["width"], seed)
-    raise ValueError(f"unknown sampler mode {mode!r}")
+    """Dispatch by mode name: ``uniform_box(lo, hi)`` or ``narrow_spread(center, width)``;
+    a missing or unknown parameter raises TypeError."""
+    samplers = {"uniform_box": uniform_box, "narrow_spread": narrow_spread}
+    if mode not in samplers:
+        raise ValueError(f"unknown sampler mode {mode!r}")
+    return samplers[mode](n, bound, seed=seed, **params)

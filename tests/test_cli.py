@@ -168,10 +168,47 @@ class TestExitCodes:
         ["--graph", "cycle:-3", "--x0", "0,0"],
         ["--graph", "rpartite:1,x", "--x0", "0,0"],
         ["--graph", "path:3", "--x0", "uniform-box:lo=0,hi=abc"],
+        # a (file name, text) pair is written to a file whose path is passed
+        ["--graph", "path:3", "--x0", ("x0.json", "[0.0, 0.5,")],
+        ["--graph", "path:3", "--x0", ("x0.json", '{"values": [0.0, 0.5, 1.0]}')],
+        ["--graph", "path:4", "--x0", "four-path:"],
+        ["--graph", "path:4", "--x0", "four-path:d=0.1"],
+        ["--graph", "path:3", "--x0", "uniform-box:lo=0"],
+        ["--graph", "path:3", "--x0", "narrow-spread:center=0"],
     ])
-    def test_malformed_arguments_are_usage_errors(self, argv, capsys):
-        assert run(["--seed", "1", "simulate", *argv]) == 1
+    def test_malformed_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+        for idx, arg in enumerate(argv):
+            if isinstance(arg, tuple):
+                name, text = arg
+                (tmp_path / name).write_text(text)
+                argv = [*argv[:idx], str(tmp_path / name), *argv[idx + 1:]]
+        assert run(["--seed", "1", "--out", str(tmp_path), "simulate", *argv]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("sampler", [
+        {"center": 0.0, "width": 0.5},
+        {"mode": "uniform_box", "lo": 0.0},
+    ])
+    def test_malformed_sweep_sampler_is_a_usage_error(self, sampler, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:3", "R": 1.0, "seeds": [1], "sampler": sampler}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "-1"],
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "0"],
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "nan"],
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "inf"],
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--max-steps", "0"],
+        ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--eps", "0.1", "-0.1"],
+        ["bounds", "--graph", "path:4", "--eps", "-1"],
+        ["bounds", "--graph", "path:4", "--R", "inf"],
+        ["construct", "--graph", "path:4", "--vp", "1,2", "--vq", "3,4", "--delta", "0.1", "--R", "0"],
+    ])
+    def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument ")
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

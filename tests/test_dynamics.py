@@ -73,6 +73,9 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
         traj.events.append(dynamics.Event(0, "lock"))
 
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
+    if dynamics._check_stop(stop_on, traj.locked, False):  # a lock at step 0 stops before any update
+        traj.exact_window = list(recent)
+        return traj
     neigh = None
     for k in range(1, max_steps + 1):
         if neigh is None:
@@ -233,6 +236,21 @@ class TestSimulateEvents:
         traj = dynamics.simulate(path_graph(3), s, 200, stop_on=("eps", 1e-3))
         ss = dynamics.steady_state(traj)
         assert np.linalg.norm(traj.states[traj.n_steps] - ss.x_inf) < 1e-3
+
+    def test_lock_at_step_zero_stops_both_engines_before_an_update(self):
+        x0 = [0.1, 0.0, -0.1]
+        traj = dynamics.simulate(path_graph(3), OpinionState(x0, 1.0), 100, stop_on="lock")
+        exact = dynamics.simulate_exact(path_graph(3), x0, 1.0, 100, stop_on="lock")
+        for t in (traj, exact):
+            assert (t.n_steps, len(t.states), t.lock_k) == (0, 1, 0)
+            assert [e.kind for e in t.events] == ["lock"]
+        fracs = [Fraction(v) for v in x0]
+        denom = math.lcm(*(f.denominator for f in fracs))
+        assert exact.exact_window == [(0, tuple(int(f * denom) for f in fracs), denom)]
+
+    def test_infinite_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            OpinionState([0.0, 0.5, 2.0], math.inf)
 
     def test_complete_graph_reaches_limit_within_kappa(self):
         # on a complete graph a narrow state averages once and then drifts only
