@@ -22,9 +22,10 @@ traj = hk.simulate(g, x0, max_steps=40)
 print("events:", [(e.k, e.kind, e.i, e.j) for e in traj.events if e.kind != "lock"])
 print()
 print(f"{'k':>3} {'E':>10} {'E_act':>10} {'decrement':>10}")
+energies = traj.energies  # computed from the recorded states on each access
 for k in range(min(6, traj.n_steps)):
-    e, act = traj.energies[k]
-    dec = e - traj.energies[k + 1][0]
+    e, act = energies[k]
+    dec = e - energies[k + 1][0]
     print(f"{k:>3} {e:10.4f} {act:10.4f} {dec:10.4f}")
 
 rep = hk.verify_energy_certificates(traj)

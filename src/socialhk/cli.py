@@ -156,7 +156,7 @@ def _write_trajectory(traj: dynamics.Trajectory, out: str, fmt: str) -> dict:
     paths["events"] = os.path.join(out, "events.jsonl")
     _atomic_write(paths["events"], "".join(line + "\n" for line in lines))
 
-    if traj.energies is not None:
+    if not traj.is_exact:
         erows = [[k, repr(e), repr(a)] for k, (e, a) in enumerate(traj.energies)]
         paths["energy"] = os.path.join(out, f"energy.{ext}")
         _atomic_write(paths["energy"], _table(["k", "E", "E_act"], erows, fmt))
@@ -180,8 +180,10 @@ def _summary(traj: dynamics.Trajectory, eps_list) -> dict:
         out["k_eps"] = {
             repr(e): dynamics.eps_convergence_time(traj, ss, e) for e in eps_list
         }
-        if traj.energies is not None and traj.lock_k < len(traj.energies):
-            out["energy_at_lock"] = traj.energies[traj.lock_k][0]
+        if not traj.is_exact:
+            g, mask = traj.gph, traj.epochs[-1].mask  # a float run opens no epoch after its lock
+            energy = dynamics._energy(g.n, g.src[mask], g.dst[mask], traj.lock_state, traj.confidence_bound)
+            out["energy_at_lock"] = float(energy[0])
     return out
 
 
@@ -394,8 +396,16 @@ def _cmd_sweep(args) -> int:
         jobs = [{"seed": s} for s in cfg["seeds"]]
     else:
         raise UsageError("config needs either 'deltas' or 'seeds'")
+    if not isinstance(cfg.get("eps", []), list):
+        raise UsageError("config field 'eps' must be a list of numbers")
+    numbers = [("R", float, cfg["R"]), ("max_steps", int, cfg.get("max_steps", 1000))]
+    for field, cast, val in numbers + [("eps", float, e) for e in cfg.get("eps", [])]:
+        try:  # the argparse check on the JSON text, which keeps "1.5" and true out
+            _positive(cast)(json.dumps(val))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config field {field!r}: {exc}") from None
 
-    graph_bounds = _graph_bounds(g, min(cfg.get("eps", [1e-2])), cfg["R"])
+    graph_bounds = _graph_bounds(g, min(cfg.get("eps") or [1e-2]), cfg["R"])
     rows = [_sweep_row(g, cfg, i, params, graph_bounds) for i, params in enumerate(jobs)]
 
     header = sorted({k for r in rows for k in r}, key=lambda k: (k != "row", k))

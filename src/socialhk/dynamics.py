@@ -71,6 +71,7 @@ from .graphs import (
 )
 
 HISTORY_CAP = 100_000
+_ENERGY_ROWS = 256  # recorded states per block of Trajectory.energies
 EXACT_FLOAT_STATES = 512
 EXACT_WINDOW = 60
 
@@ -185,7 +186,7 @@ class Epoch(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """States, influence graphs (as epochs), events, and energy series.
+    """States, influence graphs (as epochs), events, and energies derived from the states.
 
     ``epochs`` starts with the influence graph at k = 0 and gains an entry
     at every step where the graph changes; ``n_steps`` counts the updates.
@@ -196,7 +197,6 @@ class Trajectory:
     states: list                 # recorded states, index k -> ndarray
     epochs: list                 # [Epoch], ascending k_start
     events: list
-    energies: list               # (E, E_act) per recorded step, or None (exact mode)
     n_steps: int = 0
     lock_k: int | None = None
     lock_state: np.ndarray | None = None  # state at lock_k, kept whatever history_cap drops
@@ -209,6 +209,21 @@ class Trajectory:
     @property
     def locked(self) -> bool:
         return self.lock_k is not None
+
+    @property
+    def energies(self) -> list | None:
+        """(E, E_act) per recorded state under its epoch's mask; None for exact runs."""
+        if self.is_exact:
+            return None
+        gph, n_rec, out = self.gph, len(self.states), []
+        ends = [e.k_start for e in self.epochs[1:]] + [n_rec]
+        for (k0, mask, _), k1 in zip(self.epochs, ends):
+            src, dst, k1 = gph.src[mask], gph.dst[mask], min(k1, n_rec)
+            for a in range(k0, k1, _ENERGY_ROWS):
+                rows = np.array(self.states[a:min(a + _ENERGY_ROWS, k1)])
+                e, act = _energy(gph.n, src, dst, rows, self.confidence_bound)
+                out.extend(zip(e.tolist(), act.tolist()))
+        return out
 
     def _epoch_at(self, k: int) -> Epoch:
         if not 0 <= k <= self.n_steps:
@@ -265,14 +280,17 @@ def _diff_events(k, gph: Graph, old, new, prev_labels):
 
 
 def _energy(n, src, dst, x, bound):
-    """(total, active) energy over ordered vertex pairs, the live non-loop
-    links being ``src[e]-dst[e]``.
+    """(total, active) energy over ordered vertex pairs of one state ``x``,
+    or of each row of a block of states, the live non-loop links being
+    ``src[e]-dst[e]``.
 
     Active energy is the squared-gap sum over ordered influence edges; every
     ordered non-edge pair contributes the squared bound on top of that.
     """
-    gap = x[src] - x[dst]
-    act = 2.0 * float(np.sum(gap * gap))
+    # a block's gathered gaps are strided, and np.sum along a strided axis adds
+    # in another order than one state's pairwise sum: make the rows contiguous
+    gap = np.ascontiguousarray(x[..., src] - x[..., dst])
+    act = 2.0 * np.sum(gap * gap, axis=-1)
     return act + (n * n - n - 2 * len(src)) * float(bound) ** 2, act
 
 
@@ -327,17 +345,17 @@ def simulate(
 
     Links, events, epochs, the lock and the stop rule come from ``_observe``,
     as in ``simulate_exact``; this loop adds the float update, the bitwise
-    termination test, energies, ``("eps", value)`` stops and ``history_cap``.
+    termination test, ``("eps", value)`` stops and ``history_cap``; energies
+    are derived from the recorded states by ``Trajectory.energies``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    n, bound = gph.n, state.confidence_bound
-    src, dst = gph.src, gph.dst
+    bound = state.confidence_bound
     x = np.array(state.opinions, dtype=float)
 
-    traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[], energies=[])
+    traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[])
     groups = x_inf = None
     for k in range(max_steps + 1):
         if k:
@@ -358,9 +376,7 @@ def simulate(
             if traj.lock_k == k:
                 traj.lock_state = x.copy()
             if traj.epochs[-1].k_start == k:
-                mask = traj.epochs[-1].mask
-                live_src, live_dst, avg = src[mask], dst[mask], _averaging(gph, mask)
-        traj.energies.append(_energy(n, live_src, live_dst, x, bound))
+                avg = _averaging(gph, traj.epochs[-1].mask)
 
         if stop:
             break
@@ -484,7 +500,7 @@ def simulate_exact(
         return np.array([v / m for v in yv])  # int true division rounds correctly
 
     traj = Trajectory(gph=gph, confidence_bound=float(bound), states=[project(y, denom)], epochs=[],
-                      events=[], energies=None, is_exact=True)
+                      events=[], is_exact=True)
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
     groups = neigh = None
     k = 0
@@ -579,35 +595,21 @@ def steady_state(traj: Trajectory) -> SteadyState:
     ig = traj.influence_graph_at(k)
     deg = ig.graph.degrees
 
-    exact_vals = ()
-    if traj.is_exact and traj.exact_window:
-        entry = next((e for e in traj.exact_window if e[0] == k), None)
-        if entry is None and k <= traj.exact_window[0][0]:
-            # lock precedes the retained window; the weighted mean is conserved
-            # while the graph is frozen, so any retained state gives the same value
-            entry = traj.exact_window[0]
-        if entry is not None:
-            _, numer, m = entry
-            vals = []
-            for comp in ig.components:
-                num = sum(int(deg[v]) * numer[v] for v in comp)
-                den = sum(int(deg[v]) for v in comp)
-                vals.append(Fraction(num, den * m))
-            exact_vals = tuple(vals)
-
-    x_lock = traj.lock_state
-    values = []
+    exact_vals, values = [], []
     x_inf = np.zeros(traj.gph.n)
-    for idx, comp in enumerate(ig.components):
-        if exact_vals:
-            val = float(exact_vals[idx])
+    for comp in map(list, ig.components):
+        weight = int(deg[comp].sum())
+        if traj.exact_window:
+            # the last exact state is never before the lock, and the graph is
+            # frozen from the lock on, so its weighted sums are those at the lock
+            _, numer, m = traj.exact_window[-1]
+            exact_vals.append(Fraction(sum(int(deg[v]) * numer[v] for v in comp), weight * m))
+            val = float(exact_vals[-1])
         else:
-            comp_list = list(comp)
-            val = math.fsum(deg[comp_list] * x_lock[comp_list]) / int(deg[comp_list].sum())
+            val = math.fsum(deg[comp] * traj.lock_state[comp]) / weight
         values.append(val)
-        for v in comp:
-            x_inf[v] = val
-    return SteadyState(ig.components, tuple(values), k, x_inf, exact_vals)
+        x_inf[comp] = val
+    return SteadyState(ig.components, tuple(values), k, x_inf, tuple(exact_vals))
 
 
 def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
@@ -761,8 +763,9 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
     Only recorded steps can be checked: on a run that ``history_cap`` cut
     short the report covers a prefix and says so in ``truncated``.
     """
-    if traj.energies is None:
-        raise ValueError("energy certificates need a float trajectory with energy series")
+    energies = traj.energies
+    if energies is None:
+        raise ValueError("energy certificates need a float trajectory")
     n = traj.gph.n
     bound = traj.confidence_bound
     violations = []
@@ -780,8 +783,8 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
         d_eff = effective_diameter(ig.graph)
         floor = 3.0 / (2.0 * n * n * max(d_eff, 1))
         for k in range(k0, k1):
-            e_k, act_k = traj.energies[k]
-            e_next, _ = traj.energies[k + 1]
+            e_k, act_k = energies[k]
+            e_next, _ = energies[k + 1]
             dec = e_k - e_next
             if e_next > e_k + tol:
                 violations.append((k, "monotone", f"E rose by {e_next - e_k:.3e}"))

@@ -258,21 +258,15 @@ def construct_slow_state(
     """
     if verdict.kind != SUFFICIENT_HOLDS or verdict.witness is None:
         raise PreconditionViolated("need a sufficient_holds verdict with a witness")
-    sub, vs = induced_subgraph(gph, split.vp)
+    _, vs = induced_subgraph(gph, split.vp)
     local = {v: k for k, v in enumerate(vs)}
     window = [local[v] for v in split.boundary_adjacent]
 
     v = np.array(verdict.witness, dtype=float)
     if np.max(v[window]) > -MARGIN_TOL:
         raise PreconditionViolated("witness must be strictly negative on the boundary window")
-    return _assemble_slow_state(gph, split, vs, v, float(verdict.eigenvalue), delta, bound)
-
-
-def _assemble_slow_state(gph, split, vs, v, lam, delta, bound: float = 1.0):
     spread = float(np.max(v) - np.min(v))
     v = (v / spread) * bound  # divide first: symmetric witnesses scale exactly
-    local = {vv: k for k, vv in enumerate(vs)}
-    window = [local[u] for u in split.boundary_adjacent]
     v0 = -float(np.max(v[window]))
     if not 0 < delta < v0:
         raise DeltaTooLarge(f"delta must lie in (0, {v0})")
@@ -286,7 +280,7 @@ def _assemble_slow_state(gph, split, vs, v, lam, delta, bound: float = 1.0):
     for u in vs:
         x[u] = v[local[u]]
     state = OpinionState(x, bound)
-    return state, _geometric_hitting_time(v0, lam, delta)
+    return state, _geometric_hitting_time(v0, float(verdict.eigenvalue), delta)
 
 
 # -- sign ratios --------------------------------------------------------------
@@ -530,18 +524,11 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
             contributions.append((lam, dec.eigenvectors[np.ix_(rows, list(cluster))]))
 
     contributions.sort(key=lambda t: -t[0])
+    lams = [lam for lam, _ in contributions]
     spaces = []
-    idx = 0
-    while idx < len(contributions):
-        lam = contributions[idx][0]
-        stack = [contributions[idx][1]]
-        idx += 1
-        while idx < len(contributions) and abs(contributions[idx][0] - lam) <= EIG_TOL:
-            stack.append(contributions[idx][1])
-            idx += 1
-        joint = np.hstack(stack)
-        basis = _column_space(joint)
-        spaces.append(BoundaryEigenspace(lam, basis))
+    for cl in spectral._cluster(lams, EIG_TOL):
+        joint = np.hstack([contributions[i][1] for i in cl])
+        spaces.append(BoundaryEigenspace(lams[cl[0]], _column_space(joint)))
     return spaces
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -143,6 +144,20 @@ class TestOtherCommands:
         assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
         assert len(read(f"{tmp_path}/sweep.csv").splitlines()) == 3
 
+    def test_sweep_empty_eps_list(self, tmp_path, capsys):
+        # no k_eps columns, and the graph bounds use the default eps, as when
+        # the config has no eps at all
+        base = {"graph": "path:4", "R": 1.0, "seeds": [3],
+                "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.5}}
+        for name, extra in (("absent", {}), ("empty", {"eps": []})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, **extra}))
+            assert run(["--out", str(tmp_path / name), "sweep", "--config", str(cfg)]) == 0
+        absent, empty = (next(csv.DictReader(read(f"{tmp_path}/{name}/sweep.csv").splitlines()))
+                         for name in ("absent", "empty"))
+        assert "bound_conductance_floor" in empty
+        assert {**empty, "config": None} == {**absent, "config": None}
+
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -194,6 +209,18 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"graph": "path:3", "R": 1.0, "seeds": [1], "sampler": sampler}))
         assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("numbers", [
+        {"R": -1}, {"R": "abc"}, {"R": "1.5"}, {"R": float("inf")}, {"R": float("nan")},
+        {"eps": [-1]}, {"eps": [0.01, "x"]}, {"eps": 0.01},
+        {"max_steps": 0}, {"max_steps": 2.5},
+    ])
+    def test_out_of_range_sweep_numbers_are_usage_errors(self, numbers, tmp_path, capsys):
+        sampler = {"mode": "uniform_box", "lo": 0.0, "hi": 1.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:3", "R": 1.0, "seeds": [1], "sampler": sampler, **numbers}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: config field ")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "-1"],

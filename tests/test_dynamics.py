@@ -64,7 +64,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
         return np.array([v / m for v in yv])
 
     traj = dynamics.Trajectory(gph=gph, confidence_bound=float(bound), states=[project(y, denom)],
-                               epochs=[], events=[], energies=None, is_exact=True)
+                               epochs=[], events=[], is_exact=True)
     mask = mask_now(y, denom)
     labels, grouped, cuts = enter(0, mask)
     if lock_now(y, denom):
@@ -222,7 +222,7 @@ class TestSimulateEvents:
         traj = dynamics.simulate(path_graph(4), s, 20, history_cap=5)
         assert traj.truncated
         assert len(traj.states) == 6
-        assert len(traj.energies) == traj.n_steps + 1
+        assert len(traj.energies) == len(traj.states)
         assert traj.merge_times() == [2]
 
     def test_stop_on_lock(self):
@@ -376,6 +376,35 @@ class TestEnergy:
             ig = dynamics.influence_graph(g, OpinionState(x, 1.0))
             e, _ = energy(ig.graph, x, 1.0)
             assert e <= 2 * (6 * 5 / 2) * 1.0**2 + 1e-9
+
+
+class TestEnergySeries:
+    def test_matches_one_state_at_a_time(self, monkeypatch):
+        # Blocks of 3 rows split epochs across blocks and blocks across epoch
+        # ends; each state must get the bits it gets on its own, under the
+        # mask of its own epoch.
+        monkeypatch.setattr(dynamics, "_ENERGY_ROWS", 3)
+        rng = philox(907)
+        multi_epoch = wide = capped = 0
+        for i in range(120):
+            g = random_connected_graph(rng, int(rng.integers(6, 13)), 0.5)
+            x0 = rng.uniform(0.0, 0.8 if i % 2 else 2.5, g.n)
+            cap = 5 if i % 3 == 0 else dynamics.HISTORY_CAP
+            traj = dynamics.simulate(g, OpinionState(x0, 1.0), 30, history_cap=cap)
+            want = []
+            for k, x in enumerate(traj.states):
+                mask = traj._epoch_at(k).mask
+                want.append(dynamics._energy(g.n, g.src[mask], g.dst[mask], x, 1.0))
+            hexed = [tuple(float(v).hex() for v in pair) for pair in want]
+            assert [tuple(v.hex() for v in pair) for pair in traj.energies] == hexed, (i, g, x0)
+            multi_epoch += len(traj.epochs) > 1
+            wide += max(int(e.mask.sum()) for e in traj.epochs) >= 8
+            capped += traj.truncated
+        assert multi_epoch >= 20 and wide >= 60 and capped >= 20, (multi_epoch, wide, capped)
+
+    def test_exact_runs_have_none(self):
+        traj = dynamics.simulate_exact(path_graph(3), [0.0, 0.5, 1.0], 1.0, 10)
+        assert traj.energies is None
 
 
 class TestEnergyCertificates:
