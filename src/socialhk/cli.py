@@ -39,13 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the strings of ``chunks`` (any iterable) to ``path``, atomically."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -133,33 +134,55 @@ def _parse_vertices(text: str, n: int) -> tuple:
     return vs
 
 
-def _table(header, rows, fmt: str) -> str:
+def _split(g, vp, vq) -> slowmerge.SplitSpec:
+    try:
+        return slowmerge.make_split(g, vp, vq)
+    except ValueError as exc:  # sides that overlap
+        raise UsageError(f"bad split: {exc}") from None
+
+
+_TABLE_ROWS = 256  # table rows per repr() call in _float_table
+
+
+def _float_table(header, rows, fmt: str):
+    """The text of a table of float rows, numbered k = 0, 1, ..., in chunks.
+
+    Every value is written as its ``repr``.  Each block of at most
+    ``_TABLE_ROWS`` rows is formatted by one ``repr`` of its nested list,
+    which holds each float's ``repr``, and cut into rows.  The CSV is what
+    ``csv.writer`` writes for these cells (none needs quoting, rows end in
+    ``\\r\\n``); the JSON is the list of ``{"k": k, name: "repr", ...}``
+    objects that ``json.dumps(..., indent=1)`` writes, each block dumped
+    on its own and stripped of its list brackets.
+    """
     if fmt == "json":
-        return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+        yield "[\n"
+    else:
+        yield ",".join(header) + "\r\n"
+    for a in range(0, len(rows), _TABLE_ROWS):
+        text = repr(np.array(rows[a:a + _TABLE_ROWS]).tolist())
+        cells = text[2:-2].replace(", ", ",").split("],[")
+        if fmt == "json":
+            objs = [{"k": k, **dict(zip(header[1:], c.split(",")))} for k, c in enumerate(cells, a)]
+            yield ",\n" * (a > 0) + json.dumps(objs, indent=1)[2:-2]
+        else:
+            yield "".join([f"{k},{c}\r\n" for k, c in enumerate(cells, a)])
+    if fmt == "json":
+        yield "\n]\n"
 
 
 def _write_trajectory(traj: dynamics.Trajectory, out: str, fmt: str) -> dict:
-    n = traj.gph.n
-    paths = {}
-    header = ["k"] + [f"x_{i+1}" for i in range(n)]
-    rows = [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)]
     ext = "json" if fmt == "json" else "csv"
-    paths["trajectory"] = os.path.join(out, f"trajectory.{ext}")
-    _atomic_write(paths["trajectory"], _table(header, rows, fmt))
+    paths = {"trajectory": os.path.join(out, f"trajectory.{ext}")}
+    header = ["k"] + [f"x_{i+1}" for i in range(traj.gph.n)]
+    _atomic_write(paths["trajectory"], _float_table(header, traj.states, fmt))
 
-    lines = [json.dumps(e.to_payload(one_based=True)) for e in traj.events]
     paths["events"] = os.path.join(out, "events.jsonl")
-    _atomic_write(paths["events"], "".join(line + "\n" for line in lines))
+    _atomic_write(paths["events"], [json.dumps(e.to_payload(one_based=True)) + "\n" for e in traj.events])
 
     if not traj.is_exact:
-        erows = [[k, repr(e), repr(a)] for k, (e, a) in enumerate(traj.energies)]
         paths["energy"] = os.path.join(out, f"energy.{ext}")
-        _atomic_write(paths["energy"], _table(["k", "E", "E_act"], erows, fmt))
+        _atomic_write(paths["energy"], _float_table(["k", "E", "E_act"], traj.energies, fmt))
     return paths
 
 
@@ -204,7 +227,7 @@ def _cmd_simulate(args) -> int:
         traj, partial = exc.trajectory, True
         print(f"budget exhausted: {exc} (partial results written)", file=sys.stderr)
     paths = _write_trajectory(traj, args.out, args.format)
-    print(json.dumps({**_summary(traj, args.eps or []), "partial": partial, "files": paths}, indent=1))
+    print(json.dumps({**_summary(traj, args.eps), "partial": partial, "files": paths}, indent=1))
     return EXIT_BUDGET if partial else EXIT_OK
 
 
@@ -288,7 +311,7 @@ def _verdict_payload(v: slowmerge.MergeVerdict) -> dict:
 
 def _cmd_check_merge(args) -> int:
     g = _parse_graph(args.graph)
-    split = slowmerge.make_split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
+    split = _split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
     out = {
         "vp": [v + 1 for v in split.vp],
         "vq": [v + 1 for v in split.vq],
@@ -302,7 +325,7 @@ def _cmd_check_merge(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _parse_graph(args.graph)
-    split = slowmerge.make_split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
+    split = _split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
     verdict = slowmerge.sufficient_check(g, split)
     if verdict.kind != slowmerge.SUFFICIENT_HOLDS:
         print(json.dumps({"error": "sufficient condition fails", "verdict": _verdict_payload(verdict)}))
@@ -310,7 +333,7 @@ def _cmd_construct(args) -> int:
     state, predicted = slowmerge.construct_slow_state(g, split, verdict, args.delta, args.R)
     path = os.path.join(args.out, "x0.json")
     opinions = state.opinions.tolist()
-    _atomic_write(path, json.dumps({"opinions": list(map(repr, opinions)), "confidence_bound": args.R}) + "\n")
+    _atomic_write(path, [json.dumps({"opinions": list(map(repr, opinions)), "confidence_bound": args.R}) + "\n"])
     print(json.dumps({"eigenvalue": verdict.eigenvalue, "delta": args.delta, "predicted_merge_time": predicted,
                       "state_file": path, "opinions": opinions}, indent=1))
     return EXIT_OK
@@ -331,18 +354,13 @@ def _graph_bounds(g, eps, bound) -> dict:
     return out
 
 
-def _sweep_row(g, cfg, row_id, params, graph_bounds) -> dict:
+def _sweep_row(g, cfg, split, row_id, params, graph_bounds) -> dict:
     bound = cfg["R"]
     eps_list = cfg.get("eps", [])
     max_steps = cfg.get("max_steps", 1000)
     if "delta" in params:
         delta = params["delta"]
-        if "split" in cfg:
-            split = slowmerge.make_split(
-                g,
-                [v - 1 for v in cfg["split"]["vp"]],
-                [v - 1 for v in cfg["split"]["vq"]],
-            )
+        if split is not None:
             verdict = slowmerge.sufficient_check(g, split)
             state, predicted = slowmerge.construct_slow_state(g, split, verdict, delta, bound)
         else:
@@ -382,15 +400,30 @@ def _cmd_sweep(args) -> int:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
     for field in ("graph", "R"):
         if field not in cfg:
             raise UsageError(f"config is missing required field {field!r}")
+    if not isinstance(cfg["graph"], str):
+        raise UsageError("config field 'graph' must be a string such as \"path:4\" or a file name")
     g = _parse_graph(cfg["graph"])
+    split = None
     if "deltas" in cfg:
+        if not _list_of(cfg["deltas"], (int, float)):
+            raise UsageError("config field 'deltas' must be a list of numbers")
+        if "split" in cfg:
+            sides = [cfg["split"].get(s) if isinstance(cfg["split"], dict) else None for s in ("vp", "vq")]
+            if not all(_list_of(vs, int) and vs and all(1 <= v <= g.n for v in vs) for vs in sides):
+                raise UsageError("config field 'split' must hold nonempty lists 'vp' and 'vq' "
+                                 f"of vertices 1..{g.n}")
+            split = _split(g, *([v - 1 for v in vs] for vs in sides))
         jobs = [{"delta": d} for d in cfg["deltas"]]
     elif "seeds" in cfg:
         if not isinstance(cfg.get("sampler"), dict):
             raise UsageError("config with 'seeds' needs a 'sampler' section")
+        if not _list_of(cfg["seeds"], int):
+            raise UsageError("config field 'seeds' must be a list of integers")
         if any(s == 0 for s in cfg["seeds"]):
             raise InvalidSeed("seed 0 is reserved; pick any other integer")
         jobs = [{"seed": s} for s in cfg["seeds"]]
@@ -406,14 +439,20 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"config field {field!r}: {exc}") from None
 
     graph_bounds = _graph_bounds(g, min(cfg.get("eps") or [1e-2]), cfg["R"])
-    rows = [_sweep_row(g, cfg, i, params, graph_bounds) for i, params in enumerate(jobs)]
+    rows = [_sweep_row(g, cfg, split, i, params, graph_bounds) for i, params in enumerate(jobs)]
 
     header = sorted({k for r in rows for k in r}, key=lambda k: (k != "row", k))
-    table = [[r.get(h) for h in header] for r in rows]
+    buf = io.StringIO()  # csv.writer quotes the config cells
+    csv.writer(buf).writerows([header] + [[r.get(h) for h in header] for r in rows])
     path = os.path.join(args.out, "sweep.csv")
-    _atomic_write(path, _table(header, table, "csv"))
+    _atomic_write(path, [buf.getvalue()])
     print(json.dumps({"rows": len(rows), "file": path}, indent=1))
     return EXIT_OK
+
+
+def _list_of(val, types) -> bool:
+    """Whether ``val`` is a list of ``types`` values; JSON true and false are not numbers."""
+    return isinstance(val, list) and all(isinstance(v, types) and not isinstance(v, bool) for v in val)
 
 
 def _positive(cast):
@@ -441,7 +480,7 @@ def build_parser() -> _Parser:
     s.add_argument("--x0", required=True)
     s.add_argument("--R", type=_positive(float), default=1.0)
     s.add_argument("--max-steps", type=_positive(int), default=1000)
-    s.add_argument("--eps", type=_positive(float), nargs="*", default=[])
+    s.add_argument("--eps", type=_positive(float), nargs="*", default=())  # immutable: every parse shares it
     s.add_argument("--stop-on", choices=("none", "lock", "termination", "eps"), default="none")
     s.set_defaults(func=_cmd_simulate)
 
@@ -475,10 +514,15 @@ def build_parser() -> _Parser:
     return p
 
 
+_parser = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

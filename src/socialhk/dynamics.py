@@ -357,14 +357,22 @@ def simulate(
 
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[])
     groups = x_inf = None
+    # A repeat is tested on the bytes of the state, which is np.array_equal
+    # as long as no entry is -0.0 or NaN.  An update can give -0.0 (a
+    # subnormal negative sum divided by the degree rounds to it), so both
+    # sides are compared as x + 0.0, which turns -0.0 into +0.0; the states
+    # kept keep their own bits.  A live link never joins +inf and -inf (their
+    # gap is not <= bound), so no sum gives NaN.
+    x_bytes = (x + 0.0).tobytes()
     for k in range(max_steps + 1):
         if k:
             x_new = _average(x, *avg)
-            if np.array_equal(x_new, x):
+            new_bytes = (x_new + 0.0).tobytes()
+            if new_bytes == x_bytes:
                 traj.termination_k = k - 1
                 traj.events.append(Event(k - 1, "termination"))
                 break
-            x = x_new
+            x, x_bytes = x_new, new_bytes
             traj.n_steps = k
             if len(traj.states) <= history_cap:
                 traj.states.append(x)

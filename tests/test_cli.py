@@ -1,5 +1,9 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +17,27 @@ def run(argv):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def reference_write_tables(traj, out, fmt):
+    """The table writer the CLI had before block formatting: a row list per
+    state with each value through ``repr``, written by ``csv.writer`` or as
+    one ``json.dumps`` document."""
+    def table(header, rows):
+        if fmt == "json":
+            return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue()
+
+    os.makedirs(out, exist_ok=True)
+    header = ["k"] + [f"x_{i+1}" for i in range(traj.gph.n)]
+    with open(os.path.join(out, f"trajectory.{fmt}"), "w") as fh:
+        fh.write(table(header, [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)]))
+    with open(os.path.join(out, f"energy.{fmt}"), "w") as fh:
+        fh.write(table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)]))
 
 
 class TestSimulateCommand:
@@ -71,6 +96,88 @@ class TestSimulateCommand:
     def test_sampler_requires_seed(self, capsys):
         code = run(["simulate", "--graph", "path:3", "--x0", "narrow-spread:center=0,width=0.5"])
         assert code == 1
+
+
+class TestTableWriter:
+    CASES = {
+        "special-values": (["--graph", "path:4", "--x0=-0.0,1e-05,1e+16,5e-324", "--max-steps", "50"], 0),
+        "n=1": (["--graph", "n1.json", "--x0", "0.5", "--max-steps", "5"], 0),
+        "one-state": (["--graph", "complete:2", "--x0=-0.0,-0.0", "--max-steps", "5"], 0),
+        # 601 rows over three epochs: more than two default blocks
+        "long": (["--graph", "cycle:12", "--x0", "uniform-box:lo=0,hi=2", "--max-steps", "600"], 0),
+        "partial": (["--graph", "path:4", "--x0", "four-path:delta=0.25", "--stop-on", "termination",
+                     "--max-steps", "5"], 3),
+    }
+    ROWS = {"special-values": 2, "n=1": 1, "one-state": 1, "long": 601, "partial": 6}
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference_writer(self, case, fmt, block, tmp_path, monkeypatch, capsys):
+        argv, want_code = self.CASES[case]
+        (tmp_path / "n1.json").write_text('{"n": 1, "edges": []}')
+        monkeypatch.chdir(tmp_path)
+        if block is not None:
+            monkeypatch.setattr(cli, "_TABLE_ROWS", block)
+        write = cli._write_trajectory
+        rows = []
+
+        def both(traj, out, fmt):
+            rows.append(len(traj.states))
+            reference_write_tables(traj, "ref", fmt)
+            return write(traj, out, fmt)
+
+        monkeypatch.setattr(cli, "_write_trajectory", both)
+        assert run(["--seed", "4", "--out", "out", "--format", fmt, "simulate", *argv]) == want_code
+        assert rows == [self.ROWS[case]]
+        for name in (f"trajectory.{fmt}", f"energy.{fmt}"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        path4 = ["--graph", "path:4", "--max-steps", "30"]
+        calls = [
+            ["--format", "json", "--seed", "7", "simulate", *path4,
+             "--x0", "narrow-spread:center=0,width=0.5", "--eps", "0.01", "0.001"],
+            ["simulate", *path4, "--x0", "0,0.1,0.2,0.3"],  # locks at 0: k_eps shows any leaked eps
+            ["--seed", "7", "simulate", *path4, "--x0", "uniform-box:lo=0,hi=1"],
+            ["simulate", *path4, "--x0", "uniform-box:lo=0,hi=1"],  # needs the seed it must not inherit
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+
+        def outputs(root, call):
+            got = []
+            for i, argv in enumerate(calls):
+                code, stdout, stderr = call(["--out", f"run{i}", *argv])
+                out = root / f"run{i}"
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.is_dir() else {}
+                got.append((code, stdout, stderr, files))
+            return got
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "socialhk", *argv], cwd=tmp_path / "fresh",
+                                  env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        def reused(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "reused").mkdir()
+        want = outputs(tmp_path / "fresh", fresh)
+        monkeypatch.chdir(tmp_path / "reused")
+        run(["spectra", "--graph", "path:3"])  # the parser exists before the calls compared
+        capsys.readouterr()
+        parser = cli._parser
+        got = outputs(tmp_path / "reused", reused)
+        assert cli._parser is parser
+        assert [w[0] for w in want] == [0, 0, 0, 1]
+        assert json.loads(want[1][1])["k_eps"] == {}
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, calls[i]
 
 
 class TestOtherCommands:
@@ -221,6 +328,34 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"graph": "path:3", "R": 1.0, "seeds": [1], "sampler": sampler, **numbers}))
         assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("usage error: config field ")
+
+    BOX = {"mode": "uniform_box", "lo": 0.0, "hi": 1.0}
+
+    @pytest.mark.parametrize("cfg", [
+        {"graph": "path:4", "R": 1.0, "seeds": 5, "sampler": BOX},
+        {"graph": "path:4", "R": 1.0, "seeds": [1.5], "sampler": BOX},
+        {"graph": "path:4", "R": 1.0, "seeds": [True], "sampler": BOX},
+        {"graph": "path:4", "R": 1.0, "deltas": 0.1},
+        {"graph": "path:4", "R": 1.0, "deltas": ["0.1"]},
+        {"graph": 5, "R": 1.0, "deltas": [0.1]},
+        {"graph": "path:4", "R": 1.0, "deltas": [0.1], "split": {"vp": [1, 2, 3], "vq": [9]}},
+        {"graph": "path:4", "R": 1.0, "deltas": [0.1], "split": {"vp": [1, 2], "vq": [2, 3]}},
+        {"graph": "path:4", "R": 1.0, "deltas": [0.1], "split": {"vp": [], "vq": [4]}},
+        "graph R",
+    ])
+    def test_malformed_sweep_config_is_a_usage_error(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-merge", "--graph", "path:4", "--vp", "1,2", "--vq", "2,3"],
+        ["construct", "--graph", "path:4", "--vp", "1,2", "--vq", "2,3", "--delta", "0.1"],
+    ])
+    def test_overlapping_split_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error: bad split: ")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--graph", "path:3", "--x0", "0,0,0", "--R", "-1"],

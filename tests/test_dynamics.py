@@ -30,6 +30,32 @@ def star_with_tail():
     return g, x0
 
 
+def loop_simulate_array_equal(gph, state, max_steps):
+    """The float loop of ``dynamics.simulate`` (no stop rule, no history cap)
+    with the ``np.array_equal`` repeat test it had before the byte compare."""
+    x = np.array(state.opinions, dtype=float)
+    traj = dynamics.Trajectory(gph=gph, confidence_bound=state.confidence_bound, states=[x.copy()],
+                               epochs=[], events=[])
+    groups = None
+    for k in range(max_steps + 1):
+        if k:
+            x_new = dynamics._average(x, *avg)
+            if np.array_equal(x_new, x):
+                traj.termination_k = k - 1
+                traj.events.append(dynamics.Event(k - 1, "termination"))
+                break
+            x = x_new
+            traj.n_steps = k
+            traj.states.append(x)
+        if not traj.locked:
+            groups, _ = dynamics._observe(traj, k, x, state.confidence_bound, groups, None)
+            if traj.lock_k == k:
+                traj.lock_state = x.copy()
+            if traj.epochs[-1].k_start == k:
+                avg = dynamics._averaging(gph, traj.epochs[-1].mask)
+    return traj
+
+
 def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None,
                         window=dynamics.EXACT_WINDOW):
     """Reference: the step-by-step loop that ``dynamics.simulate_exact``
@@ -341,6 +367,41 @@ class TestEngine:
             hi_int = np.array([int(4 * v) for v in hi], dtype=object)
             assert dynamics._lock_holds(lo_int, hi_int, 4) == want
         assert seen == {True, False}
+
+    def test_byte_compare_termination_matches_array_equal(self):
+        # x0 has -0.0 entries, which np.array_equal counts equal to 0.0 and a
+        # byte compare would not; K2 at [-0.0, -0.0] repeats at k = 0.  A
+        # subnormal negative sum averages to -0.0 at step 1 and to +0.0 at
+        # step 2, a repeat at k = 1 (the *_sub cases).
+        rng = philox(131)
+        k2_sub = (complete_graph(2), np.array([-5e-324, 0.0]))
+        p2_sub = (path_graph(2), np.array([-5e-324, 0.0]))
+        p3_sub = (path_graph(3), np.array([-5e-324, 0.0, 0.0]))
+        cases = [(complete_graph(2), np.array([-0.0, -0.0])), (complete_graph(2), np.array([-0.0, 0.0])),
+                 k2_sub, p2_sub, p3_sub]
+        for i in range(200):
+            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+            x0 = rng.uniform(0, 0.8 if i % 2 else 3.0, g.n)
+            x0[rng.random(g.n) < 0.3] = -0.0
+            cases.append((g, x0))
+        at_zero = signed = 0
+        for g, x0 in cases:
+            got = dynamics.simulate(g, OpinionState(x0, 1.0), 3000)
+            want = loop_simulate_array_equal(g, OpinionState(x0, 1.0), 3000)
+            assert got.termination_k is not None, (g, x0)
+            assert (got.termination_k, got.n_steps, got.lock_k, got.events) == \
+                (want.termination_k, want.n_steps, want.lock_k, want.events), (g, x0)
+            assert [s.tobytes() for s in got.states] == [s.tobytes() for s in want.states], (g, x0)
+            lock_bytes = [None if t.lock_state is None else t.lock_state.tobytes() for t in (got, want)]
+            assert lock_bytes[0] == lock_bytes[1], (g, x0)
+            at_zero += got.termination_k == 0
+            signed += got.lock_k == 0 and bool(np.signbit(got.lock_state).any())
+        first = dynamics.simulate(complete_graph(2), OpinionState([-0.0, -0.0], 1.0), 5)
+        assert first.termination_k == 0 and np.signbit(first.states[0]).all()
+        for g, x0 in (k2_sub, p2_sub, p3_sub):
+            sub = dynamics.simulate(g, OpinionState(x0, 1.0), 5)
+            assert sub.termination_k == 1 and np.signbit(sub.states[1][:2]).all(), (g, x0)
+        assert at_zero >= 10 and signed >= 10, (at_zero, signed)
 
 
 def energy(g, x, bound):
