@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -35,6 +36,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number (-0.5,0.5 or -1e-3) is a
+        # value, not an unknown option; argparse's own rule takes only plain numbers
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -242,21 +249,12 @@ def _cmd_spectra(args) -> int:
     }
     if g.is_connected() and not g.is_complete():
         rep = spectral.incomplete_spectrum_report(g, dec)
-        out["spectrum_checks"] = {
-            "top_eigenvalue_simple": bool(rep.top_eigenvalue_simple),
-            "second_abs_positive": bool(rep.second_abs_positive),
-            "has_positive_secondary": bool(rep.has_positive_secondary),
-        }
+        out["spectrum_checks"] = {name: bool(flag) for name, flag in vars(rep).items()}
     if args.graph.startswith("rpartite:"):
         sizes = tuple(int(s) for s in args.graph.split(":")[1].split(","))
         spec = graphs.PartiteSpec(sizes)
         rep = spectral.verify_rpartite_eigenbasis(spec, spectral.rpartite_eigenbasis(spec))
-        out["rpartite_basis_checks"] = {
-            "eigenpairs_ok": bool(rep.eigenpairs_ok),
-            "nonunit_b_nonpositive": bool(rep.nonunit_b_nonpositive),
-            "full_rank": bool(rep.full_rank),
-            "lifted_orthogonal_to_local": bool(rep.lifted_orthogonal_to_local),
-        }
+        out["rpartite_basis_checks"] = {name: bool(flag) for name, flag in vars(rep).items() if name != "failures"}
     print(json.dumps(out, indent=1))
     return EXIT_OK
 
@@ -277,16 +275,8 @@ def _cmd_bounds(args) -> int:
         "phi_witness": sorted(v + 1 for v in witness),
         "diameter": diam,
         "lambda2_abs": dec.second_largest_abs(),
-        "bounds": [
-            {
-                "kind": r.kind,
-                "value": r.value,
-                "inputs": r.inputs,
-                "degenerate": r.degenerate,
-                **r.extras,
-            }
-            for r in reports
-        ],
+        "bounds": [{"kind": r.kind, "value": r.value, "inputs": r.inputs, "degenerate": r.degenerate, **r.extras}
+                   for r in reports],
     }
     print(json.dumps(out, indent=1))
     return EXIT_OK
@@ -297,15 +287,8 @@ def _verdict_payload(v: slowmerge.MergeVerdict) -> dict:
         "kind": v.kind,
         "eigenvalue": v.eigenvalue,
         "witness": None if v.witness is None else [float(x) for x in v.witness],
-        "records": [
-            {
-                "eigenvalue": r.eigenvalue,
-                "dim": r.dim,
-                "feasible": r.feasible,
-                "margin": None if np.isnan(r.margin) else r.margin,
-            }
-            for r in v.records
-        ],
+        "records": [{"eigenvalue": r.eigenvalue, "dim": r.dim, "feasible": r.feasible,
+                     "margin": None if np.isnan(r.margin) else r.margin} for r in v.records],
     }
 
 
@@ -344,12 +327,8 @@ def _graph_bounds(g, eps, bound) -> dict:
     if g.is_connected() and g.n >= 2:
         if g.n <= graphs.CONDUCTANCE_CAP:
             phi, _ = graphs.conductance(g)
-            out["bound_conductance_floor"] = bounds_mod.conductance_lower_bound(
-                phi, eps, bound
-            ).value
-        out["bound_kappa_cap"] = bounds_mod.constant_influence_upper_bound(
-            g.n, graphs.diameter(g), eps, bound
-        ).value
+            out["bound_conductance_floor"] = bounds_mod.conductance_lower_bound(phi, eps, bound).value
+        out["bound_kappa_cap"] = bounds_mod.constant_influence_upper_bound(g.n, graphs.diameter(g), eps, bound).value
     out["bound_break_budget"] = bounds_mod.link_break_budget(g.n, bound).value
     return out
 

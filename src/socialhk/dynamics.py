@@ -23,6 +23,10 @@ update until lock.  They differ only in the update and the termination test:
   matrix power per component where that costs fewer digit operations than
   stepping.
 
+A step whose links did not change costs ``_observe`` O(1) numpy calls: the
+mask is compared by its bytes, and ``_span_rules_out_lock`` rejects the lock
+test in O(n), before any sort, when c > 1 hulls span less than (c - 1) R.
+
 Both engines read the arrays the physical ``Graph`` owns: an influence graph
 is a boolean mask of live links over its sorted non-loop edges, and the
 update sums run over ``Graph.entries``, each agent's own opinion first and
@@ -113,17 +117,16 @@ def _live_mask(gph: Graph, x, limit) -> np.ndarray:
     return np.abs(x[gph.src] - x[gph.dst]) <= limit
 
 
-def influence_edges(gph: Graph, opinions, bound, tol=0) -> frozenset:
+def influence_edges(gph: Graph, opinions, bound) -> frozenset:
     """Edges of the physical graph whose endpoint opinions differ by at most
-    the bound (plus an optional widening tolerance).  Exact comparisons."""
-    x = np.asarray(opinions, dtype=float)
-    return gph.masked(_live_mask(gph, x, bound + tol)).edges
+    the bound.  Exact comparisons."""
+    return gph.masked(_live_mask(gph, np.asarray(opinions, dtype=float), bound)).edges
 
 
-def influence_graph(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> InfluenceGraph:
+def influence_graph(gph: Graph, state: OpinionState) -> InfluenceGraph:
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    sub = gph.masked(_live_mask(gph, state.opinions, state.confidence_bound + neighbor_tol))
+    sub = gph.masked(_live_mask(gph, state.opinions, state.confidence_bound))
     return InfluenceGraph(sub, label_components(component_labels(sub.n, sub.src, sub.dst)))
 
 
@@ -140,12 +143,12 @@ def _average(x, t, s, deg) -> np.ndarray:
     return np.bincount(t, weights=x[s]) / deg
 
 
-def step(gph: Graph, state: OpinionState, neighbor_tol: float = 0.0) -> OpinionState:
+def step(gph: Graph, state: OpinionState) -> OpinionState:
     """One update: each opinion moves to the mean over its influence neighbors."""
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
     x = state.opinions
-    t, s, deg = _averaging(gph, _live_mask(gph, x, state.confidence_bound + neighbor_tol))
+    t, s, deg = _averaging(gph, _live_mask(gph, x, state.confidence_bound))
     return OpinionState(_average(x, t, s, deg), state.confidence_bound)
 
 
@@ -243,9 +246,6 @@ class Trajectory:
     def merge_times(self) -> list:
         return [e.k for e in self.events_of("merge")]
 
-    def state_at(self, k: int) -> np.ndarray:
-        return self.states[k]
-
 
 def _lock_holds(lo, hi, bound) -> bool:
     """Lock test on per-component opinion hulls ``[lo, hi]``: every hull is at
@@ -255,25 +255,37 @@ def _lock_holds(lo, hi, bound) -> bool:
     predecessor is the one just before it; and if two hulls are too close,
     some consecutive pair is.  One pass over consecutive hulls decides it.
     """
-    if np.any(hi - lo > bound):
+    if (hi - lo > bound).any():
         return False
-    order = np.argsort(lo, kind="stable")
-    return bool(np.all(lo[order[1:]] - hi[order[:-1]] > bound))
+    order = lo.argsort(kind="stable")
+    return bool((lo[order[1:]] - hi[order[:-1]] > bound).all())
 
 
-def _diff_events(k, gph: Graph, old, new, prev_labels):
+def _span_rules_out_lock(z, c, bound) -> bool:
+    """Whether state ``z`` is too narrow for its ``c`` component hulls to pass
+    ``_lock_holds``: ``c`` hulls pairwise more than ``bound`` apart span more
+    than ``(c - 1) * bound``.  Sound bit for bit in floats, as rounding is
+    monotone: a rounded gap above ``bound`` is a real gap above it, so the real
+    span exceeds the real product and rounds to no less.  Exact on integers."""
+    return z.max() - z.min() < (c - 1) * bound
+
+
+def _diff_events(k, gph: Graph, old, new, prev_labels, prev_groups):
     """link_break / link_form / merge events between consecutive link masks;
-    ``prev_labels`` are the component labels under ``old``."""
+    ``prev_labels`` and their ``label_groups`` give the components under ``old``."""
     src, dst = gph.src, gph.dst
     events = [Event(k, "link_break", i, j)
               for i, j in zip(src[old & ~new].tolist(), dst[old & ~new].tolist())]
     fi, fj = src[new & ~old], dst[new & ~old]
+    # groups ascend by their first vertex, which is their label
+    order, starts = prev_groups
+    heads, ends = order[starts], np.append(starts[1:], len(order))
     merged = {}
     for i, j, li, lj in zip(fi.tolist(), fj.tolist(), prev_labels[fi].tolist(), prev_labels[fj].tolist()):
         events.append(Event(k, "link_form", i, j))
         key = (min(li, lj), max(li, lj))  # labels are minimum vertices
         if li != lj and key not in merged:
-            a, b = (tuple(np.flatnonzero(prev_labels == lab).tolist()) for lab in key)
+            a, b = (tuple(order[starts[g]:ends[g]].tolist()) for g in heads.searchsorted(key))
             merged[key] = Event(k, "merge", i, j, a, b)
     events.extend(merged[key] for key in sorted(merged))
     return events
@@ -313,18 +325,19 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
     ``stop_on`` ends the run here (distance stops are the float loop's)."""
     gph = traj.gph
     mask = _live_mask(gph, z, limit)
-    if not traj.epochs or not np.array_equal(mask, traj.epochs[-1].mask):
+    if not traj.epochs or mask.tobytes() != traj.epochs[-1].mask.tobytes():
         if traj.epochs:
             _, old, labels = traj.epochs[-1]
-            traj.events.extend(_diff_events(k, gph, old, mask, labels))
+            traj.events.extend(_diff_events(k, gph, old, mask, labels, groups))
         labels = component_labels(gph.n, gph.src[mask], gph.dst[mask])
         traj.epochs.append(Epoch(k, mask, labels))
         groups = label_groups(labels)
     order, starts = groups
-    zs = z[order]
-    if _lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
-        traj.lock_k = k
-        traj.events.append(Event(k, "lock"))
+    if not _span_rules_out_lock(z, len(starts), limit):
+        zs = z[order]
+        if _lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
+            traj.lock_k = k
+            traj.events.append(Event(k, "lock"))
     return groups, _check_stop(stop_on, traj.locked, False)
 
 

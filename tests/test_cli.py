@@ -93,6 +93,24 @@ class TestSimulateCommand:
             "--x0", "0.0,0.3,0.6", "--max-steps", "5",
         ]) == 0
 
+    def test_x0_list_may_start_with_a_minus(self, tmp_path, monkeypatch, capsys):
+        # "-0.5,0.5" as its own argument is the value, as after "="
+        runs = []
+        for i, x0 in enumerate((["--x0", "-0.5,0.5"], ["--x0=-0.5,0.5"])):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            code = run(["simulate", "--graph", "path:2", *x0])
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / str(i)).iterdir())}
+            runs.append((code, capsys.readouterr().out, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert runs[0][2]["trajectory.csv"].splitlines()[1] == b"0,-0.5,0.5"
+
+    @pytest.mark.parametrize("x0", [["--x0"], ["--x0", "-foo"]])
+    def test_x0_without_a_value_is_a_usage_error(self, x0, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "simulate", "--graph", "path:2", *x0]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --x0: expected one argument")
+
     def test_sampler_requires_seed(self, capsys):
         code = run(["simulate", "--graph", "path:3", "--x0", "narrow-spread:center=0,width=0.5"])
         assert code == 1

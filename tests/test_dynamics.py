@@ -121,7 +121,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
         if not traj.locked:
             new_mask = mask_now(y, denom)
             if not np.array_equal(new_mask, mask):
-                traj.events.extend(dynamics._diff_events(k, gph, mask, new_mask, labels))
+                traj.events.extend(dynamics._diff_events(k, gph, mask, new_mask, labels, graphs.label_groups(labels)))
                 mask = new_mask
                 labels, grouped, cuts = enter(k, mask)
                 neigh = None
@@ -149,6 +149,52 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
     return traj
 
 
+def reference_lock_holds(lo, hi, bound):
+    """``dynamics._lock_holds`` as it was, with the np.any / np.all wrappers."""
+    if np.any(hi - lo > bound):
+        return False
+    order = np.argsort(lo, kind="stable")
+    return bool(np.all(lo[order[1:]] - hi[order[:-1]] > bound))
+
+
+def reference_diff_events(k, gph, old, new, prev_labels):
+    """``dynamics._diff_events`` as it was: each merge scans the previous
+    labels for the members of both components."""
+    src, dst = gph.src, gph.dst
+    events = [dynamics.Event(k, "link_break", i, j)
+              for i, j in zip(src[old & ~new].tolist(), dst[old & ~new].tolist())]
+    fi, fj = src[new & ~old], dst[new & ~old]
+    merged = {}
+    for i, j, li, lj in zip(fi.tolist(), fj.tolist(), prev_labels[fi].tolist(), prev_labels[fj].tolist()):
+        events.append(dynamics.Event(k, "link_form", i, j))
+        key = (min(li, lj), max(li, lj))
+        if li != lj and key not in merged:
+            a, b = (tuple(np.flatnonzero(prev_labels == lab).tolist()) for lab in key)
+            merged[key] = dynamics.Event(k, "merge", i, j, a, b)
+    events.extend(merged[key] for key in sorted(merged))
+    return events
+
+
+def reference_observe(traj, k, z, limit, groups, stop_on):
+    """``dynamics._observe`` before its shortcuts: the link mask compared by
+    ``np.array_equal`` and the full hull lock test at every step."""
+    gph = traj.gph
+    mask = dynamics._live_mask(gph, z, limit)
+    if not traj.epochs or not np.array_equal(mask, traj.epochs[-1].mask):
+        if traj.epochs:
+            _, old, labels = traj.epochs[-1]
+            traj.events.extend(reference_diff_events(k, gph, old, mask, labels))
+        labels = graphs.component_labels(gph.n, gph.src[mask], gph.dst[mask])
+        traj.epochs.append(dynamics.Epoch(k, mask, labels))
+        groups = graphs.label_groups(labels)
+    order, starts = groups
+    zs = z[order]
+    if reference_lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
+        traj.lock_k = k
+        traj.events.append(dynamics.Event(k, "lock"))
+    return groups, dynamics._check_stop(stop_on, traj.locked, False)
+
+
 class TestInfluenceGraph:
     def test_four_path_example(self):
         ig = dynamics.influence_graph(path_graph(4), OpinionState([-1, 0, 1, -0.75], 1.0))
@@ -170,12 +216,6 @@ class TestInfluenceGraph:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             dynamics.influence_graph(path_graph(3), OpinionState([0.0, 1.0], 1.0))
-
-    def test_neighbor_tol_widens(self):
-        g = path_graph(2)
-        s = OpinionState([0.0, 1.0 + 1e-12], 1.0)
-        assert dynamics.influence_graph(g, s).graph.nonloop_edges() == []
-        assert dynamics.influence_graph(g, s, neighbor_tol=1e-9).graph.nonloop_edges() == [(0, 1)]
 
 
 class TestStep:
@@ -352,21 +392,51 @@ class TestEngine:
                         return False
             return True
 
+        def check(lo, hi, want):
+            assert dynamics._lock_holds(lo, hi, 1.0) == want, (lo, hi)
+            # the exact engine passes Python integers, here scaled by 2^52
+            lo_int, hi_int = (np.array([int(Fraction(v) * 2**52) for v in a], dtype=object) for a in (lo, hi))
+            assert dynamics._lock_holds(lo_int, hi_int, 2**52) == want
+            # the span bound never rejects hulls that lock
+            for z, limit in ((np.concatenate([lo, hi]), 1.0), (np.concatenate([lo_int, hi_int]), 2**52)):
+                rejects = bool(dynamics._span_rules_out_lock(z, len(lo), limit))
+                assert not (rejects and want), (lo, hi, limit)
+                seen[want, rejects] += 1
+
+        seen = {(True, False): 0, (False, False): 0, (False, True): 0}
         # hulls on a quarter grid, so touching hulls (gap == R) and ties are common
         rng = philox(127)
-        seen = set()
         for _ in range(400):
             c = int(rng.integers(1, 6))
             lo = rng.integers(0, 20, c) / 4
             hi = lo + rng.integers(0, 5, c) / 4
-            want = all_pairs(lo, hi, 1.0)
-            seen.add(want)
-            assert dynamics._lock_holds(lo, hi, 1.0) == want, (lo, hi)
-            # the exact engine passes scaled Python integers
-            lo_int = np.array([int(4 * v) for v in lo], dtype=object)
-            hi_int = np.array([int(4 * v) for v in hi], dtype=object)
-            assert dynamics._lock_holds(lo_int, hi_int, 4) == want
-        assert seen == {True, False}
+            check(lo, hi, all_pairs(lo, hi, 1.0))
+
+        # hulls at most 1/4 wide laid out both ways from one at [0, w], each
+        # side with one gap: exactly nextafter(R, inf), the least that locks,
+        # or R, or R + 1/4.  Then every endpoint is exact in doubles.
+        tight = np.nextafter(1.0, np.inf)
+        n_tight = 0
+        for _ in range(400):
+            c = int(rng.integers(1, 6))
+            widths = rng.integers(0, 2, c) / 4
+            mid = c // 2
+            gaps = np.repeat(rng.choice([tight, tight, 1.0, 1.25], 2), [mid, c - 1 - mid])
+            lo, hi = np.zeros(c), np.zeros(c)
+            hi[mid] = widths[mid]
+            for h in range(mid + 1, c):
+                lo[h] = hi[h - 1] + gaps[h - 1]
+                hi[h] = lo[h] + widths[h]
+            for h in range(mid - 1, -1, -1):
+                hi[h] = lo[h + 1] - gaps[h]
+                lo[h] = hi[h] - widths[h]
+            assert np.array_equal(lo[1:] - hi[:-1], gaps)
+            n_tight += c > 1 and min(gaps) == tight and max(gaps) == tight
+            perm = rng.permutation(c)
+            want = all_pairs(lo[perm], hi[perm], 1.0)
+            assert want == all(gaps > 1.0)
+            check(lo[perm], hi[perm], want)
+        assert n_tight >= 20 and min(seen.values()) >= 20, (n_tight, seen)
 
     def test_byte_compare_termination_matches_array_equal(self):
         # x0 has -0.0 entries, which np.array_equal counts equal to 0.0 and a
@@ -402,6 +472,69 @@ class TestEngine:
             sub = dynamics.simulate(g, OpinionState(x0, 1.0), 5)
             assert sub.termination_k == 1 and np.signbit(sub.states[1][:2]).all(), (g, x0)
         assert at_zero >= 10 and signed >= 10, (at_zero, signed)
+
+
+class TestObserveShortcuts:
+    """``_observe`` skips the full lock test where the span rules a lock out,
+    compares link masks by their bytes and builds merges from the groups."""
+
+    def test_matches_the_reference_observe(self, monkeypatch):
+        rng = philox(137)
+        cases = []
+        for i in range(176):
+            g = random_connected_graph(rng, int(rng.integers(2, 13)))
+            cases.append((g, rng.uniform(0, (0.8, 3.0, 6.0)[i % 3], g.n)))
+        for n in (16, 24, 32, 48, 64, 96):
+            for width in (3.0, 6.0):
+                for _ in range(2):
+                    cases.append((graphs.cycle_graph(n), rng.uniform(0, width, n)))
+        cases = [(g, [float(v) for v in np.round(x0, 3)]) for g, x0 in cases]
+        rejected = []
+        span_bound = dynamics._span_rules_out_lock
+
+        def runs():
+            out = []
+            for g, x0 in cases:
+                out.append(exact_fields(dynamics.simulate(g, OpinionState(x0, 1.0), 400)))
+                out.append(exact_fields(dynamics.simulate_exact(g, x0, 1.0, 120)))
+            return out
+
+        monkeypatch.setattr(dynamics, "_span_rules_out_lock",
+                            lambda z, c, bound: rejected.append(span_bound(z, c, bound)) or rejected[-1])
+        got = runs()
+        monkeypatch.setattr(dynamics, "_observe", reference_observe)
+        want = runs()
+        for idx, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (idx, cases[idx // 2])
+        events = [e for traj_fields in got for e in traj_fields[2]]
+        merges = sum(e.kind == "merge" for e in events)
+        late_locks = sum(f[4] is not None and f[4] > 0 for f in got)
+        assert len(cases) >= 200 and merges >= 50 and late_locks >= 50, (merges, late_locks)
+        assert sum(rejected) >= 1000 and rejected.count(False) >= 1000
+
+    def test_full_test_never_runs_where_the_span_rules_a_lock_out(self, monkeypatch):
+        calls = []
+        full = dynamics._lock_holds
+        monkeypatch.setattr(dynamics, "_lock_holds",
+                            lambda lo, hi, bound: calls.append((len(lo), hi.max() - lo.min())) or full(lo, hi, bound))
+        box = sampling.sample_initial_state(64, 1.0, "uniform_box", 7, lo=0, hi=3)
+        # path:7 whose vertex 3 is cut off: three components spanning 5 > 2 R
+        cut = graphs.Graph(7, frozenset({(i, i + 1) for i in range(6)}))
+        opened = []
+        for g, state in ((graphs.cycle_graph(64), box), (cut, OpinionState([0, 0.1, 0.2, 5, 0.5, 0.6, 0.7], 1.0))):
+            calls.clear()
+            traj = dynamics.simulate(g, state, 400)
+            assert not traj.locked
+            assert not [(c, span) for c, span in calls if c > 1 and span < (c - 1) * 1.0]
+            # every step where the bound does not rule a lock out runs the full test
+            open_steps = 0
+            for k, x in enumerate(traj.states):
+                c = len(set(traj._epoch_at(k).labels.tolist()))
+                open_steps += c == 1 or x.max() - x.min() >= c - 1
+            assert len(calls) == open_steps
+            opened.append((traj.n_steps, open_steps))
+        # the float run on the cut path ends at a bitwise fixed point
+        assert opened == [(400, 0), (52, 53)]
 
 
 def energy(g, x, bound):
