@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, count
 
 import numpy as np
@@ -293,8 +294,12 @@ def effective_diameter(g: Graph) -> int:
         reach = grown
 
 
+@lru_cache(maxsize=64)
 def diameter(g: Graph) -> int:
-    """Diameter of a connected graph (shortest-path metric, loops ignored)."""
+    """Diameter of a connected graph (shortest-path metric, loops ignored).
+
+    Cached per graph: every sweep over one physical graph asks for it again.
+    """
     if not g.is_connected():
         raise DisconnectedGraph("diameter requires a connected graph")
     return effective_diameter(g)

@@ -10,13 +10,13 @@ induced subgraphs admit certain sign patterns.  This module provides:
   boundary-adjacent vertices) together with the explicit state construction
   and its predicted merge time;
 * the necessary condition on boundary-restricted eigenspaces (a nonzero
-  one-signed boundary vector for some eigenvalue in (0,1)), decided by exact
-  LP feasibility;
+  one-signed boundary vector for some eigenvalue in (0,1)), decided by LP
+  feasibility in the float simplex of ``linprog``;
 * the sign-ratio machinery (window ratios, their floor over an eigenspace,
   the perturbation-persistence check) and the parity elimination of signed
   geometric rates that powers the necessity argument;
 * an exhaustive verifier that complete multipartite graphs admit no slow
-  merging across any split.
+  merging across any split, run once per orbit of the part symmetries.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -502,6 +503,24 @@ class BoundaryEigenspace:
     basis: np.ndarray  # b x dim
 
 
+@lru_cache(maxsize=4096)
+def _side_spectrum(gph: Graph, vertices: tuple) -> tuple:
+    """(local index of each global vertex, ((eigenvalue, eigenvectors), ...)
+    for every non-unit eigenvalue cluster) of the subgraph ``vertices`` induce.
+
+    Cached per vertex subset: a scan over the splits of n vertices meets
+    3^n splits but only 2^n sides.
+    """
+    sub, vs = induced_subgraph(gph, vertices)
+    dec = spectral.decompose(sub)
+    clusters = []
+    for cluster in dec.clusters:
+        lam = float(dec.eigenvalues[cluster[0]])
+        if abs(lam - 1.0) > EIG_TOL:
+            clusters.append((lam, dec.eigenvectors[:, list(cluster)]))
+    return {v: k for k, v in enumerate(vs)}, tuple(clusters)
+
+
 def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
     """Boundary-restricted eigenspaces for every non-unit eigenvalue of the
     two induced subgraphs, merged across sides within 1e-9 and rank-reduced.
@@ -513,15 +532,9 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
         (split.vp, [i for i, _ in split.boundary_edges]),
         (split.vq, [j for _, j in split.boundary_edges]),
     ):
-        sub, vs = induced_subgraph(gph, side_vertices)
-        local = {v: k for k, v in enumerate(vs)}
+        local, clusters = _side_spectrum(gph, side_vertices)
         rows = [local[p] for p in positions]
-        dec = spectral.decompose(sub)
-        for cluster in dec.clusters:
-            lam = float(dec.eigenvalues[cluster[0]])
-            if abs(lam - 1.0) <= EIG_TOL:
-                continue
-            contributions.append((lam, dec.eigenvectors[np.ix_(rows, list(cluster))]))
+        contributions.extend((lam, vecs[rows]) for lam, vecs in clusters)
 
     contributions.sort(key=lambda t: -t[0])
     lams = [lam for lam, _ in contributions]
@@ -572,34 +585,93 @@ def necessary_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
 
 @dataclass(frozen=True)
 class NoSlowMergeReport:
-    """Exhaustive necessary-condition scan over every split of a graph."""
+    """Exhaustive necessary-condition scan over every split of a graph.
+
+    ``checked`` and ``skipped_no_boundary`` count splits; ``holds`` lists
+    (vp, vq, eigenvalue) for each scanned split where the condition held,
+    one representative per orbit for a complete multipartite scan.
+    """
 
     n: int
     checked: int
     skipped_no_boundary: int
-    holds: tuple  # (vp, vq, eigenvalue) for any split where the condition held
+    holds: tuple
 
     @property
     def all_fail(self) -> bool:
         return not self.holds
 
 
-def rpartite_no_slow_merge(spec, max_n: int = 8) -> NoSlowMergeReport:
+def rpartite_no_slow_merge(spec, max_n: int = 12) -> NoSlowMergeReport:
     """Run the necessary check on every ordered pair of disjoint nonempty
-    vertex sets of a complete multipartite graph joined by at least one edge.
+    vertex sets of a complete multipartite graph joined by at least one edge,
+    once per orbit of the part symmetries (see ``_split_orbits``).
 
     Complete multipartite graphs admit no split where the condition holds,
-    so each is expected to fail; the report lists any that held instead.
+    so each is expected to fail; the report lists any orbit representative
+    that held instead.
     """
     from .graphs import complete_r_partite
 
     if spec.n > max_n:
         raise GraphTooLarge(spec.n, max_n)
     g = complete_r_partite(spec)
-    return scan_all_splits(g)
+    checked = skipped = 0
+    holds = []
+    for vp, vq, size, one_part in _split_orbits(spec):
+        if one_part:
+            skipped += size
+            continue
+        checked += size
+        verdict = necessary_check(g, make_split(g, vp, vq))
+        if verdict.kind == NECESSARY_HOLDS:
+            holds.append((vp, vq, verdict.eigenvalue))
+    return NoSlowMergeReport(spec.n, checked, skipped, tuple(holds))
+
+
+def _split_orbits(spec):
+    """Yield (vp, vq, orbit size, one_part) once per orbit of the splits of a
+    complete multipartite graph under its part symmetries.
+
+    Permuting the vertices inside a part, or swapping two parts of equal
+    size, is an automorphism, so a split's orbit is fixed by the counts
+    (a_p, b_p) of part p's vertices in vp and vq, up to the order of the
+    equal-size parts. Each group of equal-size parts takes one multiset of
+    count pairs; the representative puts the first a_p vertices of part p in
+    vp and the next b_p in vq. The orbit holds prod C(s_p, a_p) C(s_p - a_p,
+    b_p) splits times the distinct orders of each group's multiset.
+    ``one_part`` marks orbits whose vertices all lie in one part, which have
+    no boundary edge. Orbits with an empty side are left out, so the sizes
+    sum to 3^n - 2^(n+1) + 1.
+    """
+    groups: dict = {}
+    for part, size in zip(spec.parts(), spec.part_sizes):
+        groups.setdefault(size, []).append(part)
+    # per group, one option per multiset: (its vp, its vq, split count, parts touched)
+    options = []
+    for size, parts in groups.items():
+        pairs = [(a, b) for a in range(size + 1) for b in range(size + 1 - a)]
+        opts = []
+        for combo in combinations_with_replacement(pairs, len(parts)):
+            vp, vq, count, touched = [], [], math.factorial(len(parts)), 0
+            for pair in set(combo):
+                count //= math.factorial(combo.count(pair))
+            for part, (a, b) in zip(parts, combo):
+                vp.extend(part[:a])
+                vq.extend(part[a:a + b])
+                count *= math.comb(size, a) * math.comb(size - a, b)
+                touched += a + b > 0
+            opts.append((vp, vq, count, touched))
+        options.append(opts)
+    for choice in product(*options):
+        vp = tuple(sorted(v for o in choice for v in o[0]))
+        vq = tuple(sorted(v for o in choice for v in o[1]))
+        if vp and vq:
+            yield vp, vq, math.prod(o[2] for o in choice), sum(o[3] for o in choice) == 1
 
 
 def scan_all_splits(g: Graph) -> NoSlowMergeReport:
+    """Run the necessary check on every split of a general graph, one by one."""
     n = g.n
     vertices = list(range(n))
     checked = skipped = 0

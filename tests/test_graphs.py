@@ -376,6 +376,17 @@ class TestDiameters:
         with pytest.raises(DisconnectedGraph):
             graphs.diameter(graphs.Graph(3))
 
+    def test_diameter_cached_per_graph(self, monkeypatch):
+        calls = []
+        inner = graphs.effective_diameter
+        monkeypatch.setattr(graphs, "effective_diameter", lambda g: calls.append(g) or inner(g))
+        graphs.diameter.cache_clear()
+        assert graphs.diameter(graphs.cycle_graph(9)) == 4
+        assert graphs.diameter(graphs.cycle_graph(9)) == 4  # an equal graph, built anew
+        assert len(calls) == 1
+        assert graphs.diameter(graphs.path_graph(9)) == 8
+        assert len(calls) == 2
+
 
 class TestConstructors:
     def test_complete_r_partite_1_2(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from socialhk.errors import (
 from socialhk.graphs import PartiteSpec, complete_r_partite, path_graph
 
 from conftest import philox, random_connected_graph
+from test_spectral import all_partitions
 
 
 P4 = path_graph(4)
@@ -381,4 +384,82 @@ class TestNoSlowMergeScan:
 
     def test_too_large(self):
         with pytest.raises(GraphTooLarge):
-            sm.rpartite_no_slow_merge(PartiteSpec((5, 4)))
+            sm.rpartite_no_slow_merge(PartiteSpec((7, 6)))
+
+    @pytest.mark.parametrize("sizes", [(6, 6), (4, 4, 4), (3, 3, 3, 3)])
+    def test_twelve_vertices_all_fail(self, sizes):
+        rep = sm.rpartite_no_slow_merge(PartiteSpec(sizes))
+        assert rep.all_fail
+        assert rep.checked + rep.skipped_no_boundary == 3**12 - 2**13 + 1
+
+
+def _orbit_key(spec, vp, vq):
+    """Per group of equal-size parts, the sorted counts (a_p, b_p) of each
+    part's vertices in vp and vq: the invariant that names a split's orbit."""
+    groups = {}
+    for part, size in zip(spec.parts(), spec.part_sizes):
+        pair = (len(set(part) & set(vp)), len(set(part) & set(vq)))
+        groups.setdefault(size, []).append(pair)
+    return tuple((size, tuple(sorted(pairs))) for size, pairs in groups.items())
+
+
+def _splits(n):
+    """Every ordered pair of disjoint nonempty vertex sets of range(n)."""
+    for labels in itertools.product((0, 1, 2), repeat=n):
+        vp = tuple(v for v in range(n) if labels[v] == 1)
+        vq = tuple(v for v in range(n) if labels[v] == 2)
+        if vp and vq:
+            yield vp, vq
+
+
+CRITERION_7_SPECS = [(1, 2), (2, 2), (1, 1, 2), (2, 3)]
+
+
+class TestOrbitScan:
+    @pytest.mark.parametrize(
+        "sizes",
+        sorted({p for n in range(1, 7) for p in all_partitions(n)} | set(CRITERION_7_SPECS)),
+        ids=lambda sizes: "-".join(map(str, sizes)),
+    )
+    def test_matches_split_scan(self, sizes):
+        spec = PartiteSpec(sizes)
+        orbit = sm.rpartite_no_slow_merge(spec)
+        split = sm.scan_all_splits(complete_r_partite(spec))
+        assert (orbit.checked, orbit.skipped_no_boundary, orbit.all_fail) == (
+            split.checked, split.skipped_no_boundary, split.all_fail)
+
+    def test_orbit_sizes_sum_to_split_count(self):
+        for n in range(1, 11):
+            for sizes in all_partitions(n):
+                spec = PartiteSpec(sizes)
+                orbits = list(sm._split_orbits(spec))
+                assert sum(size for _, _, size, _ in orbits) == 3**n - 2 ** (n + 1) + 1, sizes
+                keys = {_orbit_key(spec, vp, vq) for vp, vq, _, _ in orbits}
+                assert len(keys) == len(orbits), sizes  # one representative per orbit
+
+    def test_orbit_members_share_verdict(self):
+        for n in range(2, 6):
+            for sizes in all_partitions(n):
+                spec = PartiteSpec(sizes)
+                g = complete_r_partite(spec)
+                reps = {_orbit_key(spec, vp, vq): (vp, vq, size, one_part)
+                        for vp, vq, size, one_part in sm._split_orbits(spec)}
+                members = {key: 0 for key in reps}
+                verdicts = {}
+                for vp, vq in _splits(n):
+                    key = _orbit_key(spec, vp, vq)
+                    members[key] += 1
+                    rep_vp, rep_vq, _, one_part = reps[key]
+                    split = sm.make_split(g, vp, vq)
+                    assert (split.b == 0) == one_part, (sizes, vp, vq)
+                    if one_part:
+                        continue
+                    if key not in verdicts:
+                        verdicts[key] = sm.necessary_check(g, sm.make_split(g, rep_vp, rep_vq))
+                    want, got = verdicts[key], sm.necessary_check(g, split)
+                    assert got.kind == want.kind, (sizes, vp, vq)
+                    assert [(r.dim, r.feasible) for r in got.records] == [
+                        (r.dim, r.feasible) for r in want.records], (sizes, vp, vq)
+                    assert np.allclose([r.eigenvalue for r in got.records],
+                                       [r.eigenvalue for r in want.records], atol=1e-9)
+                assert members == {key: rep[2] for key, rep in reps.items()}, sizes
