@@ -89,10 +89,20 @@ def make_split(gph: Graph, vp, vq) -> SplitSpec:
     for v in vp + vq:
         if not 0 <= v < gph.n:
             raise ValueError(f"vertex {v} out of range")
-    boundary = tuple(
-        sorted((i, j) for i in vp for j in vq if gph.has_edge(i, j))
-    )
-    return SplitSpec(vp, vq, boundary)
+    # one pass over the edge arrays with two membership masks; the splits
+    # scanned are small, where Python lists beat numpy's per-call cost
+    in_p, in_q = [False] * gph.n, [False] * gph.n
+    for v in vp:
+        in_p[v] = True
+    for v in vq:
+        in_q[v] = True
+    boundary = []
+    for i, j in zip(gph.src.tolist(), gph.dst.tolist()):  # i < j, oriented vp -> vq
+        if in_p[i] and in_q[j]:
+            boundary.append((i, j))
+        elif in_q[i] and in_p[j]:
+            boundary.append((j, i))
+    return SplitSpec(vp, vq, tuple(sorted(boundary)))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def loop_simulate_array_equal(gph, state, max_steps):
 def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None,
                         window=dynamics.EXACT_WINDOW):
     """Reference: the step-by-step loop that ``dynamics.simulate_exact``
-    replaced past lock by a matrix power."""
+    replaced past lock by a power of the locked update."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     fracs = [Fraction(v) for v in opinions]
@@ -193,6 +194,71 @@ def reference_observe(traj, k, z, limit, groups, stop_on):
         traj.lock_k = k
         traj.events.append(dynamics.Event(k, "lock"))
     return groups, dynamics._check_stop(stop_on, traj.locked, False)
+
+
+def power_apply(rows, v, p):
+    """Reference: ``rows ** p @ v`` for a square integer matrix, by binary powers."""
+    while True:
+        if p & 1:
+            v = [sum(map(mul, row, v)) for row in rows]
+        p >>= 1
+        if not p:
+            return v
+        cols = list(zip(*rows))
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def block_rows(neigh, comp):
+    """The integer update matrix of one locked component: each vertex's
+    ``lcm // degree`` on its closed neighbourhood."""
+    pos = {v: c for c, v in enumerate(comp)}
+    rows = [[0] * len(comp) for _ in comp]
+    for row, v in zip(rows, comp):
+        mult, _, nb = neigh[v]
+        for u in (v, *nb):
+            row[pos[u]] = mult
+    return rows
+
+
+def reference_locked_power(neigh, components, y, p):
+    """Reference: ``dynamics._locked_power`` as matrix powers, block by block."""
+    y = list(y)
+    for comp in components:
+        for v, yv in zip(comp, power_apply(block_rows(neigh, comp), [y[v] for v in comp], p)):
+            y[v] = yv
+    return y
+
+
+def locked_neigh(gph, mask):
+    """``simulate_exact``'s ``neigh`` for a link mask: (lcm // degree, vertex, live neighbors)."""
+    _, s, deg = dynamics._averaging(gph, mask)
+    s, deg = s.tolist(), deg.tolist()
+    lcm = math.lcm(*deg)
+    return tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, accumulate(deg)))
+
+
+def reference_tail_decay_ratio(traj, ss, window=50):
+    """Reference: the exact branch of ``dynamics.tail_decay_ratio`` as the sum
+    of squared distances to the exact limits, an unreduced fraction per state."""
+    entries = {e[0]: e for e in traj.exact_window}
+    k_hi = max(entries)
+    ig = traj.influence_graph_at(traj.lock_k)
+
+    def dist2(entry):
+        _, numer, m = entry
+        top, bottom = 0, 1
+        for idx, comp in enumerate(ig.components):
+            mp, mq = ss.exact_values[idx].numerator, ss.exact_values[idx].denominator
+            acc = 0
+            for v in comp:
+                d = numer[v] * mq - mp * m
+                acc += d * d
+            scale = (mq * m) ** 2
+            top, bottom = top * scale + acc * bottom, bottom * scale
+        return top, bottom
+
+    (top_hi, bottom_hi), (top_lo, bottom_lo) = dist2(entries[k_hi]), dist2(entries[k_hi - window])
+    return ((top_hi * bottom_lo) / (bottom_hi * top_lo)) ** (1.0 / (2 * window))
 
 
 class TestInfluenceGraph:
@@ -1025,10 +1091,27 @@ class TestExactJump:
         traj = dynamics.simulate_exact(g, x0, 1.0, 2_000)
         assert traj.lock_k == 655 and traj.exact_jump == (657, 2_000 - dynamics.EXACT_WINDOW)
 
+    @pytest.mark.parametrize("case", ["path:12", "path:16", "random:10"])
+    def test_fires_on_larger_components(self, case):
+        # a power costs n_c (n_c + 1) / 2 big products per squaring, so at
+        # 3000 steps the jump pays on these 10-16 vertex components
+        if case == "random:10":
+            rng = philox(10)
+            g = random_connected_graph(rng, 10)
+            x0 = [float(v) for v in rng.uniform(-0.2, 0.2, g.n)]
+        else:
+            g = path_graph(int(case.split(":")[1]))
+            x0 = [float(v) for v in philox(g.n).uniform(-0.25, 0.25, g.n)]
+        traj = dynamics.simulate_exact(g, x0, 1.0, 3_000)
+        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 3_000 - dynamics.EXACT_WINDOW)
+        assert exact_fields(traj) == exact_fields(loop_simulate_exact(g, x0, 1.0, 3_000))
+
     def test_does_not_fire_where_stepping_is_cheaper(self):
+        # 128 locked steps of path:32: the characteristic polynomial's ~32^4
+        # small products cost more than stepping (timed 24 ms against 5 ms)
         x0 = [float(v) for v in philox(32).uniform(-0.25, 0.25, 32)]
-        traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 10_000)
-        assert traj.locked and traj.exact_jump is None
+        traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 700)
+        assert traj.lock_k == 0 and traj.termination_k is None and traj.exact_jump is None
 
     def test_does_not_fire_without_a_stretch_to_skip(self):
         x0 = [0.1, 0.0, -0.1]
@@ -1044,3 +1127,65 @@ class TestExactJump:
         g = graphs.Graph(7, frozenset({(i, i + 1) for i in range(6)}))
         traj = dynamics.simulate_exact(g, x0, 1.0, 1_000)
         assert not traj.locked and traj.termination_k is None and traj.exact_jump is None
+
+
+class TestLockedPower:
+    def test_polynomial_power_matches_matrix_power_on_random_blocks(self):
+        rng = philox(1613)
+        for size in range(1, 17):
+            for _ in range(3):
+                rows = [[int(v) for v in rng.integers(-6, 7, size)] for _ in range(size)]
+                chi = dynamics._charpoly(rows)
+                # Cayley-Hamilton, exactly: chi(rows) is the zero matrix
+                acc = [[int(i == j) for j in range(size)] for i in range(size)]
+                for c in chi:
+                    acc = [[sum(map(mul, row, col)) + (c if i == j else 0) for j, col in enumerate(zip(*rows))]
+                           for i, row in enumerate(acc)]
+                assert acc == [[0] * size] * size, rows
+                v = [int(x) for x in rng.integers(-10**9, 10**9, size)]
+                for p in (0, 1, size, int(rng.integers(2, 300))):
+                    r = dynamics._xpow_mod(chi, p)
+                    w, got = v, [0] * size
+                    for ri in r:  # sum(r_i * rows^i v)
+                        got = [g + ri * x for g, x in zip(got, w)]
+                        w = [sum(map(mul, row, w)) for row in rows]
+                    assert got == power_apply(rows, v, p), (rows, p)
+
+    def test_matches_matrix_power_on_locked_blocks(self):
+        # random live-link masks split random connected graphs into 1-16
+        # vertex components, singletons included
+        rng = philox(1614)
+        for n in (1, 2, 3, 5, 8, 12, 16):
+            for _ in range(4):
+                g = random_connected_graph(rng, n)
+                mask = rng.random(len(g.src)) < rng.uniform(0.3, 1.0)
+                order, starts = graphs.label_groups(graphs.component_labels(n, g.src[mask], g.dst[mask]))
+                components = [c.tolist() for c in np.split(order, starts[1:])]
+                neigh = locked_neigh(g, mask)
+                y = [int.from_bytes(rng.bytes(40), "big") - (1 << 319) for _ in range(n)]
+                for p in (1, 2, int(rng.integers(3, 400))):
+                    assert dynamics._locked_power(neigh, components, y, p) == \
+                        reference_locked_power(neigh, components, y, p), (g, mask, p)
+
+
+class TestExactTailRatio:
+    def test_matches_the_distance_sums(self):
+        cases = [(g, x0, b) for g, x0 in exact_corpus() for b in (200, TestExactJump.FLOOR + 70)]
+        cases.append(late_lock_case() + (700,))  # locks at 655, after the window's first state
+        seen = {"ratios": 0, "several_components": 0, "lock_in_window": 0}
+        for g, x0, budget in cases:
+            traj = dynamics.simulate_exact(g, x0, 1.0, budget)
+            if not traj.locked or len(traj.exact_window) < 51:
+                continue
+            ss = dynamics.steady_state(traj)
+            try:
+                want = reference_tail_decay_ratio(traj, ss)
+            except ZeroDivisionError:  # the state is at its limit at the window's start
+                with pytest.raises(ZeroDivisionError):
+                    dynamics.tail_decay_ratio(traj, ss)
+                continue
+            assert dynamics.tail_decay_ratio(traj, ss) == want, (g, x0, budget)
+            seen["ratios"] += 1
+            seen["several_components"] += len(ss.components) > 1
+            seen["lock_in_window"] += traj.lock_k > traj.exact_window[-51][0]
+        assert seen["ratios"] >= 20 and seen["several_components"] >= 5 and seen["lock_in_window"] >= 1, seen

@@ -45,6 +45,16 @@ class TestSplitSpec:
         with pytest.raises(ValueError):
             sm.make_split(P4, (0, 1), (1, 2))
 
+    def test_boundary_matches_pairwise_edge_tests(self):
+        # the edge-array masks list what one has_edge call per (vp, vq) pair found
+        rng = philox(61)
+        shapes = [complete_r_partite(PartiteSpec(sizes)) for n in range(1, 7) for sizes in all_partitions(n)]
+        shapes += [random_connected_graph(rng, n) for n in (2, 3, 5, 6, 7) for _ in range(3)]
+        for g in shapes:
+            for vp, vq in _splits(g.n):
+                want = tuple(sorted((i, j) for i in vp for j in vq if g.has_edge(i, j)))
+                assert sm.make_split(g, vp, vq).boundary_edges == want, (g, vp, vq)
+
 
 class TestFourPathFamily:
     @pytest.mark.parametrize("delta,want", [(0.25, 2), (1 / 16, 4), (0.499, 2)])
