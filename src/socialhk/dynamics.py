@@ -77,7 +77,6 @@ from .graphs import (
 
 HISTORY_CAP = 100_000
 _ENERGY_ROWS = 256  # recorded states per block of Trajectory.energies
-EXACT_FLOAT_STATES = 512
 EXACT_WINDOW = 60
 
 
@@ -198,14 +197,14 @@ class Trajectory:
 
     gph: Graph
     confidence_bound: float
-    states: list                 # recorded states, index k -> ndarray
+    states: list                 # recorded states, index k -> ndarray (exact runs: float projections)
     epochs: list                 # [Epoch], ascending k_start
     events: list
     n_steps: int = 0
     lock_k: int | None = None
     lock_state: np.ndarray | None = None  # state at lock_k, kept whatever history_cap drops
     termination_k: int | None = None
-    truncated: bool = False
+    truncated: bool = False      # states stop before n_steps: history_cap, or an exact run's jump
     is_exact: bool = False
     exact_window: list = field(default_factory=list)  # [(k, numerators, denominator)]
     exact_jump: tuple | None = None  # (k_from, k_to) computed as one power of the locked update
@@ -307,13 +306,14 @@ def _energy(n, src, dst, x, bound):
     return act + (n * n - n - 2 * len(src)) * float(bound) ** 2, act
 
 
-def _check_stop(stop_on, locked, terminated, state_dist=None):
+def _check_stop(stop_on, locked, state_dist=None):
+    """Whether ``stop_on`` ends a run; termination is each engine's own test."""
     if stop_on is None or stop_on == "termination":
-        return terminated
+        return False
     if stop_on == "lock":
-        return terminated or locked
+        return locked
     if isinstance(stop_on, tuple) and stop_on[0] == "eps":
-        return terminated or (locked and state_dist is not None and state_dist < stop_on[1])
+        return locked and state_dist is not None and state_dist < stop_on[1]
     raise ValueError(f"unknown stop condition {stop_on!r}")
 
 
@@ -339,7 +339,7 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
         if _lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
             traj.lock_k = k
             traj.events.append(Event(k, "lock"))
-    return groups, _check_stop(stop_on, traj.locked, False)
+    return groups, _check_stop(stop_on, traj.locked)
 
 
 def simulate(
@@ -405,7 +405,7 @@ def simulate(
         if isinstance(stop_on, tuple) and traj.locked:
             if x_inf is None:
                 x_inf = steady_state(traj).x_inf
-            if _check_stop(stop_on, True, False, float(np.linalg.norm(x - x_inf))):
+            if _check_stop(stop_on, True, float(np.linalg.norm(x - x_inf))):
                 break
     else:
         if stop_on is not None:
@@ -430,43 +430,50 @@ def _jump_pays(sizes, n_entries, gap, lcm_bits, width) -> bool:
 
     Both are counted in operations on 30-bit digits, the unit of CPython's
     integers.  A step sums ``n_entries`` integers (the live entries of the
-    update, each vertex's own included) and scales one per vertex; they
-    start ``width`` bits wide and grow ``lcm_bits`` a step, and each of these
-    operations also costs the interpreter about 100 digit operations, so
-    stepping costs ``(n_entries + n) * gap * (width + lcm_bits * gap / 2 +
-    3000) / 30``.  The power (``_locked_power``) costs, for each locked
-    component of ``n_c`` vertices, about ``16 * n_c ** 4`` for the small
-    products of its characteristic polynomial; ``n_c * (n_c + 1) / 2``
-    products per squaring, the last of ``d = lcm_bits * gap / 60`` digits
-    and each earlier one half as wide, so 1.5 times the last in all; and
-    ``n_c ** 2`` final products of ``2 d``-digit coefficients with the
-    ``width``-bit numerators.  The power's fixed cost of some 30 us is left
-    out, so a stretch of a few steps is jumped where stepping would take
-    some tens of us less.  Timed from the jump's start, step 512, to
-    ``max_steps - 60`` on one core of a 2-core x86 host under CPython 3.11
-    (ms, jump / step; * marks the way the rule picks; ``random:14`` is a
-    random connected graph, ``path:6+10`` two paths locked apart)::
+    update, each vertex's own included), scales one per vertex and records
+    the state's float projection, one int true division per vertex at about
+    three integer operations; the integers start ``width`` bits wide and
+    grow ``lcm_bits`` a step, and each operation also costs the interpreter
+    about 100 digit operations, so stepping costs ``(n_entries + 4 n) * gap
+    * (width + lcm_bits * gap / 2 + 3000) / 30``.  The power
+    (``_locked_power``) costs, for each locked component of ``n_c`` vertices,
+    ``n_c ** 4 * (12 + n_c * lcm_bits / 30)`` for its characteristic
+    polynomial, some ``n_c ** 4 / 4`` products of small integers with the
+    entries of A^i C, which average ``n_c * lcm_bits / 60`` digits, at 48
+    digit operations plus 8 per digit each; ``n_c * (n_c + 1) / 2`` products
+    per squaring, the last of ``d = lcm_bits * gap / 60`` digits and each
+    earlier one half as wide, so 1.5 times the last in all; and ``n_c ** 2``
+    final products of ``2 d``-digit coefficients with the ``width``-bit
+    numerators.  The power's fixed cost of some 30 us is left out.  Timed
+    from the jump's start, step lock_k + 2, to ``max_steps - 60`` on one
+    core of a 2-core x86 host under CPython 3.11, every state below locked
+    at step 0 (ms, jump / step; * marks the way the rule picks;
+    ``random:14`` is a random connected graph, ``path:6+10`` two paths
+    locked apart)::
 
-        max_steps          600            700           2000           10^4
-        path:3        0.06* / 0.09   0.09* / 0.46   0.25* / 5.86   1.92* / 93.9
-        path:4        0.07* / 0.08   0.15* / 0.57   0.25* / 6.99    2.94* / 115
-        path:8        0.25* / 0.14   0.32* / 0.67   1.06* / 9.75    7.03* / 235
-        path:16       1.47 / 0.28*   1.82* / 1.32   4.42* / 19.3    29.3* / 347
-        path:24       5.03 / 0.38*   5.81 / 1.92*   11.4* / 27.4    71.3* / 593
-        path:32       13.5 / 0.53*   14.9 / 2.49*   27.0* / 40.7     135* / 947
-        star:16       1.42 / 0.45*   3.03* / 2.54   11.3* / 37.7    89.9* / 530
-        cycle:12      0.60 / 0.19*   0.75* / 0.94   1.35* / 13.8    6.45* / 211
-        random:14     1.74 / 0.69*   3.14* / 3.65   21.1* / 75.6    191* / 1628
-        path:6+10     0.55* / 0.27   0.91* / 1.52   2.13* / 19.4    15.8* / 381
+        max_steps          300            700           2000           10^4
+        path:3       0.22* / 1.57   0.27* / 5.39   0.35* / 19.7    1.04* / 195
+        path:4       0.27* / 1.20   0.25* / 3.74   0.32* / 25.5    2.70* / 267
+        path:8       0.43* / 2.92   0.52* / 6.90   1.16* / 30.2    4.92* / 538
+        path:16      1.62* / 3.61   1.93* / 11.4   3.68* / 48.8    22.0* / 864
+        path:24      5.33 / 4.79*   6.05* / 14.5   8.04* / 73.3   51.3* / 1472
+        path:32      18.3 / 11.5*   20.3* / 23.8    24.9* / 111   83.0* / 2285
+        star:16      1.96* / 3.83   2.50* / 15.3   8.16* / 97.8   42.1* / 1412
+        cycle:12     0.88* / 2.74   0.96* / 7.18   1.28* / 30.6    9.52* / 515
+        random:14    2.27* / 5.56   4.03* / 25.1    26.9* / 188    164* / 4689
+        path:6+10    1.25* / 5.90   1.39* / 11.7   1.78* / 84.3   22.3* / 1083
 
-    Over 181 such timings, these and a wheel, more random graphs and 3*10^4
-    steps, no pick lost more than 0.7 ms, all near 16 vertices at 700 steps.
+    Over 297 such timings, of the stretch alone and of whole runs, these and
+    paths of 12 to 28 vertices, stars of 8 and 24, cycles of 16 and 24,
+    random graphs of 10 to 24 vertices and budgets from 100 to 10^4 steps,
+    no pick lost more than 1.9 ms, and only path:32 at 550 and 600 steps,
+    where the two differ by a tenth, lost more than 0.7 ms.
     """
     n = sum(sizes)
-    steps = (n_entries + n) * gap * (width + lcm_bits * gap / 2 + 3000) / 30
+    steps = (n_entries + 4 * n) * gap * (width + lcm_bits * gap / 2 + 3000) / 30
     d = lcm_bits * gap / 60
-    power = sum(16 * c**4 + 0.75 * c * (c + 1) * _digit_ops(d, d) + c * c * _digit_ops(width / 30, 2 * d)
-                for c in sizes)
+    power = sum(c**4 * (12 + c * lcm_bits / 30) + 0.75 * c * (c + 1) * _digit_ops(d, d)
+                + c * c * _digit_ops(width / 30, 2 * d) for c in sizes)
     return power < steps
 
 
@@ -558,9 +565,10 @@ def simulate_exact(
 
     Neighbor tests, lock checks, and the termination test are decided in
     exact arithmetic, so a termination event here means the state truly
-    repeats.  Float projections of states 0..``EXACT_FLOAT_STATES`` are
-    recorded for inspection; the exact states of the final ``window`` steps
-    are kept for tail measurements.
+    repeats.  ``states`` holds the float projection of every state the loop
+    steps, so a run that jumps (below) records states 0..k_from of its
+    ``exact_jump`` and is ``truncated``; the exact states of the final
+    ``window`` steps are kept for tail measurements.
 
     Links, events, epochs, the lock and the stop rule come from ``_observe``,
     as in ``simulate``, fed the numerators times the bound's denominator
@@ -572,15 +580,14 @@ def simulate_exact(
     M = lcm * D^-1 (Adj + I) and the denominator by lcm.  M is similar to a
     symmetric matrix, so it is diagonalizable, and a state past lock_k + 1
     repeats only if the state at lock_k + 1 already does: the termination
-    test of step lock_k + 2 decides termination for good.  From there, once
-    the projections are recorded, the stretch up to step
-    ``max_steps - window`` is one power of M, whenever ``_jump_pays`` counts
-    that cheaper than stepping.  M is block-diagonal over the locked
-    components, and each block's power is a polynomial in the block of
-    degree below its size (``_locked_power``): x^p modulo its characteristic
-    polynomial, raised by repeated squaring at n_c (n_c + 1) / 2 big
-    products a squaring.  The integers are those the steps would give;
-    ``Trajectory.exact_jump`` names the stretch skipped.
+    test of step lock_k + 2 decides termination for good.  From there the
+    stretch up to step ``max_steps - window`` is one power of M, whenever
+    ``_jump_pays`` counts that cheaper than stepping.  M is block-diagonal
+    over the locked components, and each block's power is a polynomial in
+    the block of degree below its size (``_locked_power``): x^p modulo its
+    characteristic polynomial, raised by repeated squaring at n_c (n_c + 1)
+    / 2 big products a squaring.  The integers are those the steps would
+    give; ``Trajectory.exact_jump`` names the stretch skipped.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -631,10 +638,8 @@ def simulate_exact(
             y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
             denom *= lcm
             traj.n_steps = k
-            if len(traj.states) <= EXACT_FLOAT_STATES:
+            if traj.exact_jump is None:  # the final window past a jump keeps only exact states
                 traj.states.append(project(y, denom))
-            else:
-                traj.truncated = True
             recent.append((k, tuple(y), denom))
 
         if not traj.locked:
@@ -651,7 +656,7 @@ def simulate_exact(
         # the docstring), so the locked stretch up to the final window is one
         # power of the frozen update, taken per component.
         gap = max_steps - window - k
-        if traj.locked and k == max(traj.lock_k + 2, EXACT_FLOAT_STATES) and gap > 0:
+        if traj.locked and k == traj.lock_k + 2 and gap > 0:
             components = [c.tolist() for c in np.split(groups[0], groups[1][1:])]
             if _jump_pays([len(c) for c in components], len(s), gap, math.log2(lcm), denom.bit_length()):
                 y = _locked_power(neigh, components, y, gap)
@@ -659,7 +664,7 @@ def simulate_exact(
                 traj.exact_jump = (k, k + gap)
                 k += gap
                 traj.n_steps = k
-                traj.truncated = True  # the jump lands past the recorded projections
+                traj.truncated = True  # no projection is recorded past k_from
                 recent.append((k, tuple(y), denom))
         k += 1
 

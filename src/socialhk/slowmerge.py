@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -41,7 +42,7 @@ from .errors import (
     SpilloverVertices,
     ZeroOnWindow,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, complete_r_partite, induced_subgraph
 from .linprog import max_min_margin, nonneg_nonzero_vector
 
 EIG_TOL = 1e-9
@@ -132,8 +133,6 @@ def _rational_eigenspace(g: Graph, lam_float: float):
     constructed states (and hence merge times) exact at every precision;
     irrational eigenvalues return None and callers keep the float basis.
     """
-    from fractions import Fraction
-
     lam = Fraction(lam_float).limit_denominator(10_000)
     if abs(float(lam) - lam_float) > 1e-9:
         return None
@@ -621,26 +620,30 @@ def rpartite_no_slow_merge(spec, max_n: int = 12) -> NoSlowMergeReport:
     so each is expected to fail; the report lists any orbit representative
     that held instead.
     """
-    from .graphs import complete_r_partite
-
     if spec.n > max_n:
         raise GraphTooLarge(spec.n, max_n)
-    g = complete_r_partite(spec)
+    return _scan(complete_r_partite(spec), _split_orbits(spec))
+
+
+def _scan(g: Graph, splits) -> NoSlowMergeReport:
+    """Run the necessary check on each ``(vp, vq, weight)`` of ``splits`` that
+    has a boundary edge, counting ``weight`` splits checked or skipped."""
     checked = skipped = 0
     holds = []
-    for vp, vq, size, one_part in _split_orbits(spec):
-        if one_part:
-            skipped += size
+    for vp, vq, weight in splits:
+        split = make_split(g, vp, vq)
+        if split.b == 0:
+            skipped += weight
             continue
-        checked += size
-        verdict = necessary_check(g, make_split(g, vp, vq))
+        checked += weight
+        verdict = necessary_check(g, split)
         if verdict.kind == NECESSARY_HOLDS:
             holds.append((vp, vq, verdict.eigenvalue))
-    return NoSlowMergeReport(spec.n, checked, skipped, tuple(holds))
+    return NoSlowMergeReport(g.n, checked, skipped, tuple(holds))
 
 
 def _split_orbits(spec):
-    """Yield (vp, vq, orbit size, one_part) once per orbit of the splits of a
+    """Yield (vp, vq, orbit size) once per orbit of the splits of a
     complete multipartite graph under its part symmetries.
 
     Permuting the vertices inside a part, or swapping two parts of equal
@@ -649,57 +652,47 @@ def _split_orbits(spec):
     equal-size parts. Each group of equal-size parts takes one multiset of
     count pairs; the representative puts the first a_p vertices of part p in
     vp and the next b_p in vq. The orbit holds prod C(s_p, a_p) C(s_p - a_p,
-    b_p) splits times the distinct orders of each group's multiset.
-    ``one_part`` marks orbits whose vertices all lie in one part, which have
-    no boundary edge. Orbits with an empty side are left out, so the sizes
-    sum to 3^n - 2^(n+1) + 1.
+    b_p) splits times the distinct orders of each group's multiset. The
+    splits of an orbit have no boundary edge exactly when its representative
+    lies inside one part. Orbits with an empty side are left out, so the
+    sizes sum to 3^n - 2^(n+1) + 1.
     """
     groups: dict = {}
     for part, size in zip(spec.parts(), spec.part_sizes):
         groups.setdefault(size, []).append(part)
-    # per group, one option per multiset: (its vp, its vq, split count, parts touched)
+    # per group, one option per multiset: (its vp, its vq, split count)
     options = []
     for size, parts in groups.items():
         pairs = [(a, b) for a in range(size + 1) for b in range(size + 1 - a)]
         opts = []
         for combo in combinations_with_replacement(pairs, len(parts)):
-            vp, vq, count, touched = [], [], math.factorial(len(parts)), 0
+            vp, vq, count = [], [], math.factorial(len(parts))
             for pair in set(combo):
                 count //= math.factorial(combo.count(pair))
             for part, (a, b) in zip(parts, combo):
                 vp.extend(part[:a])
                 vq.extend(part[a:a + b])
                 count *= math.comb(size, a) * math.comb(size - a, b)
-                touched += a + b > 0
-            opts.append((vp, vq, count, touched))
+            opts.append((vp, vq, count))
         options.append(opts)
     for choice in product(*options):
         vp = tuple(sorted(v for o in choice for v in o[0]))
         vq = tuple(sorted(v for o in choice for v in o[1]))
         if vp and vq:
-            yield vp, vq, math.prod(o[2] for o in choice), sum(o[3] for o in choice) == 1
+            yield vp, vq, math.prod(o[2] for o in choice)
 
 
 def scan_all_splits(g: Graph) -> NoSlowMergeReport:
     """Run the necessary check on every split of a general graph, one by one."""
-    n = g.n
+    return _scan(g, _all_splits(g.n))
+
+
+def _all_splits(n):
+    """Yield (vp, vq, 1) for every ordered pair of disjoint nonempty vertex sets."""
     vertices = list(range(n))
-    checked = skipped = 0
-    holds = []
     for vp_mask in range(1, 1 << n):
         vp = tuple(v for v in vertices if vp_mask >> v & 1)
         rest = [v for v in vertices if not vp_mask >> v & 1]
-        if not rest:
-            continue
         m = len(rest)
         for vq_mask in range(1, 1 << m):
-            vq = tuple(rest[i] for i in range(m) if vq_mask >> i & 1)
-            split = make_split(g, vp, vq)
-            if split.b == 0:
-                skipped += 1
-                continue
-            checked += 1
-            verdict = necessary_check(g, split)
-            if verdict.kind == NECESSARY_HOLDS:
-                holds.append((vp, vq, verdict.eigenvalue))
-    return NoSlowMergeReport(n, checked, skipped, tuple(holds))
+            yield vp, tuple(rest[i] for i in range(m) if vq_mask >> i & 1), 1

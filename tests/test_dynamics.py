@@ -60,7 +60,8 @@ def loop_simulate_array_equal(gph, state, max_steps):
 def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None,
                         window=dynamics.EXACT_WINDOW):
     """Reference: the step-by-step loop that ``dynamics.simulate_exact``
-    replaced past lock by a power of the locked update."""
+    replaced past lock by a power of the locked update.  It records the float
+    projection of every state."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     fracs = [Fraction(v) for v in opinions]
@@ -100,7 +101,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
         traj.events.append(dynamics.Event(0, "lock"))
 
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
-    if dynamics._check_stop(stop_on, traj.locked, False):  # a lock at step 0 stops before any update
+    if dynamics._check_stop(stop_on, traj.locked):  # a lock at step 0 stops before any update
         traj.exact_window = list(recent)
         return traj
     neigh = None
@@ -128,10 +129,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
                 neigh = None
 
         traj.n_steps = k
-        if len(traj.states) <= dynamics.EXACT_FLOAT_STATES:
-            traj.states.append(project(y, denom))
-        else:
-            traj.truncated = True
+        traj.states.append(project(y, denom))
         recent.append((k, tuple(y), denom))
 
         if not traj.locked and lock_now(y, denom):
@@ -139,7 +137,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
             traj.lock_state = project(y, denom)
             traj.events.append(dynamics.Event(k, "lock"))
 
-        if dynamics._check_stop(stop_on, traj.locked, traj.termination_k is not None):
+        if dynamics._check_stop(stop_on, traj.locked):
             break
     else:
         if stop_on is not None:
@@ -193,7 +191,7 @@ def reference_observe(traj, k, z, limit, groups, stop_on):
     if reference_lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
         traj.lock_k = k
         traj.events.append(dynamics.Event(k, "lock"))
-    return groups, dynamics._check_stop(stop_on, traj.locked, False)
+    return groups, dynamics._check_stop(stop_on, traj.locked)
 
 
 def power_apply(rows, v, p):
@@ -1019,13 +1017,25 @@ def late_lock_case():
     return g, x + [limit + 1 + Fraction(1, 2**60)]
 
 
-def exact_fields(traj):
+def exact_fields(traj, jump=None):
+    """An exact run's fields, bitwise, with ``states`` cut after step
+    ``jump[0]`` when a jump is given: a run that jumps records no state past
+    the jump's first step, and the step loop records them all."""
+    states = traj.states if jump is None else traj.states[:jump[0] + 1]
     return (
-        traj.exact_window, [s.tobytes() for s in traj.states], traj.events,
+        traj.exact_window, [s.tobytes() for s in states], traj.events,
         [(e.k_start, e.mask.tobytes(), e.labels.tobytes()) for e in traj.epochs],
         traj.lock_k, None if traj.lock_state is None else traj.lock_state.tobytes(),
-        traj.termination_k, traj.n_steps, traj.truncated,
+        traj.termination_k, traj.n_steps,
     )
+
+
+def assert_matches_step_loop(traj, ref):
+    """``traj`` from ``simulate_exact`` against ``ref`` from
+    ``loop_simulate_exact``: every field bitwise, the states up to the jump's
+    first step, and ``truncated`` exactly when the run jumped."""
+    assert exact_fields(traj) == exact_fields(ref, traj.exact_jump)
+    assert traj.truncated == (traj.exact_jump is not None) and not ref.truncated
 
 
 def run_exact(fn, *args, **kwargs):
@@ -1037,21 +1047,24 @@ def run_exact(fn, *args, **kwargs):
 
 
 class TestExactJump:
-    FLOOR = dynamics.EXACT_FLOAT_STATES + dynamics.EXACT_WINDOW
+    FLOOR = 2 + dynamics.EXACT_WINDOW  # a run locked at step 0 jumps from step 2
 
     def test_matches_the_step_loop_bitwise(self):
         cases = exact_corpus() + [late_lock_case()]
-        seen = {"lock0": 0, "lock_later": 0, "jump": 0, "exhausted": 0, "terminated": 0}
+        seen = {"lock0": 0, "lock_later": 0, "jump": 0, "stepped_past_lock": 0, "exhausted": 0, "terminated": 0}
         for idx, (g, x0) in enumerate(cases):
-            budgets = (200, self.FLOOR, self.FLOOR + 70) if idx < len(cases) - 1 else (900,)
+            budgets = (self.FLOOR, self.FLOOR + 70, 200) if idx < len(cases) - 1 else (900,)
             for budget in budgets:
                 for stop_on in (None, "lock", "termination"):
                     traj, exhausted = run_exact(dynamics.simulate_exact, g, x0, 1.0, budget, stop_on=stop_on)
                     ref, ref_exhausted = run_exact(loop_simulate_exact, g, x0, 1.0, budget, stop_on=stop_on)
-                    assert (exact_fields(traj), exhausted) == (exact_fields(ref), ref_exhausted), \
-                        (idx, budget, stop_on)
+                    jump = traj.exact_jump
+                    assert (exact_fields(traj), traj.truncated, exhausted) == \
+                        (exact_fields(ref, jump), jump is not None, ref_exhausted), (idx, budget, stop_on)
+                    assert jump is None or jump == (traj.lock_k + 2, budget - dynamics.EXACT_WINDOW)
                     seen["exhausted"] += exhausted is not None
-                    seen["jump"] += traj.exact_jump is not None
+                    seen["jump"] += jump is not None
+                    seen["stepped_past_lock"] += jump is None and traj.locked and traj.n_steps > traj.lock_k + 2
                     seen["terminated"] += traj.termination_k is not None
                     if traj.locked:
                         seen["lock0" if traj.lock_k == 0 else "lock_later"] += 1
@@ -1061,9 +1074,8 @@ class TestExactJump:
     def test_matches_the_step_loop_with_other_windows(self, window):
         x0 = [0.1, 0.0, -0.1]
         traj = dynamics.simulate_exact(path_graph(3), x0, 1.0, 600, window=window)
-        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 600 - window)
-        ref = loop_simulate_exact(path_graph(3), x0, 1.0, 600, window=window)
-        assert exact_fields(traj) == exact_fields(ref)
+        assert traj.exact_jump == (traj.lock_k + 2, 600 - window)
+        assert_matches_step_loop(traj, loop_simulate_exact(path_graph(3), x0, 1.0, 600, window=window))
 
     def test_locked_runs_terminate_by_lock_plus_one_or_never(self):
         # The frozen update is diagonalizable, so a state past lock_k + 1
@@ -1083,13 +1095,25 @@ class TestExactJump:
     def test_fires_on_short_paths(self, n):
         x0 = [float(v) for v in philox(n).uniform(-0.25, 0.25, n)]
         traj = dynamics.simulate_exact(path_graph(n), x0, 1.0, 10_000)
-        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 10_000 - dynamics.EXACT_WINDOW)
-        assert exact_fields(traj) == exact_fields(loop_simulate_exact(path_graph(n), x0, 1.0, 10_000))
+        assert traj.exact_jump == (traj.lock_k + 2, 10_000 - dynamics.EXACT_WINDOW)
+        assert_matches_step_loop(traj, loop_simulate_exact(path_graph(n), x0, 1.0, 10_000))
 
     def test_starts_two_steps_past_a_late_lock(self):
         g, x0 = late_lock_case()
         traj = dynamics.simulate_exact(g, x0, 1.0, 2_000)
         assert traj.lock_k == 655 and traj.exact_jump == (657, 2_000 - dynamics.EXACT_WINDOW)
+        assert len(traj.states) == 658
+
+    def test_late_lock_keeps_the_states_eps_convergence_reads(self):
+        # eps_convergence_time reads the states before a lock; a run that
+        # locks late and jumps must still hold every one of them
+        g, x0 = late_lock_case()
+        traj = dynamics.simulate_exact(g, x0, 1.0, 2_000)
+        ref = loop_simulate_exact(g, x0, 1.0, 2_000)
+        ss, ref_ss = dynamics.steady_state(traj), dynamics.steady_state(ref)
+        for eps in (1e-1, 1e-3, 1e-9):
+            k_eps = dynamics.eps_convergence_time(traj, ss, eps)
+            assert k_eps < traj.lock_k and k_eps == dynamics.eps_convergence_time(ref, ref_ss, eps), eps
 
     @pytest.mark.parametrize("case", ["path:12", "path:16", "random:10"])
     def test_fires_on_larger_components(self, case):
@@ -1103,21 +1127,22 @@ class TestExactJump:
             g = path_graph(int(case.split(":")[1]))
             x0 = [float(v) for v in philox(g.n).uniform(-0.25, 0.25, g.n)]
         traj = dynamics.simulate_exact(g, x0, 1.0, 3_000)
-        assert traj.exact_jump == (dynamics.EXACT_FLOAT_STATES, 3_000 - dynamics.EXACT_WINDOW)
-        assert exact_fields(traj) == exact_fields(loop_simulate_exact(g, x0, 1.0, 3_000))
+        assert traj.exact_jump == (traj.lock_k + 2, 3_000 - dynamics.EXACT_WINDOW)
+        assert_matches_step_loop(traj, loop_simulate_exact(g, x0, 1.0, 3_000))
 
     def test_does_not_fire_where_stepping_is_cheaper(self):
-        # 128 locked steps of path:32: the characteristic polynomial's ~32^4
-        # small products cost more than stepping (timed 24 ms against 5 ms)
+        # 238 locked steps of path:32: the characteristic polynomial's ~32^4
+        # small products cost more than stepping (timed 13 ms against 7 ms)
         x0 = [float(v) for v in philox(32).uniform(-0.25, 0.25, 32)]
-        traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 700)
+        traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 300)
         assert traj.lock_k == 0 and traj.termination_k is None and traj.exact_jump is None
 
     def test_does_not_fire_without_a_stretch_to_skip(self):
+        # the count leaves out the power's fixed cost, so on path:3 a
+        # single locked step, with its projection, is taken as a power
         x0 = [0.1, 0.0, -0.1]
         assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR).exact_jump is None
-        k0 = dynamics.EXACT_FLOAT_STATES
-        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 1).exact_jump == (k0, k0 + 1)
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 1).exact_jump == (2, 3)
         assert dynamics.simulate_exact(path_graph(3), x0, 1.0, 10_000, stop_on="lock").exact_jump is None
 
     def test_does_not_fire_on_an_unlocked_run(self):

@@ -443,8 +443,8 @@ class TestOrbitScan:
             for sizes in all_partitions(n):
                 spec = PartiteSpec(sizes)
                 orbits = list(sm._split_orbits(spec))
-                assert sum(size for _, _, size, _ in orbits) == 3**n - 2 ** (n + 1) + 1, sizes
-                keys = {_orbit_key(spec, vp, vq) for vp, vq, _, _ in orbits}
+                assert sum(size for _, _, size in orbits) == 3**n - 2 ** (n + 1) + 1, sizes
+                keys = {_orbit_key(spec, vp, vq) for vp, vq, _ in orbits}
                 assert len(keys) == len(orbits), sizes  # one representative per orbit
 
     def test_orbit_members_share_verdict(self):
@@ -452,20 +452,19 @@ class TestOrbitScan:
             for sizes in all_partitions(n):
                 spec = PartiteSpec(sizes)
                 g = complete_r_partite(spec)
-                reps = {_orbit_key(spec, vp, vq): (vp, vq, size, one_part)
-                        for vp, vq, size, one_part in sm._split_orbits(spec)}
+                reps = {_orbit_key(spec, vp, vq): (vp, vq, size) for vp, vq, size in sm._split_orbits(spec)}
                 members = {key: 0 for key in reps}
                 verdicts = {}
                 for vp, vq in _splits(n):
                     key = _orbit_key(spec, vp, vq)
                     members[key] += 1
-                    rep_vp, rep_vq, _, one_part = reps[key]
-                    split = sm.make_split(g, vp, vq)
-                    assert (split.b == 0) == one_part, (sizes, vp, vq)
-                    if one_part:
+                    rep_vp, rep_vq, _ = reps[key]
+                    split, rep = sm.make_split(g, vp, vq), sm.make_split(g, rep_vp, rep_vq)
+                    assert (split.b == 0) == (rep.b == 0), (sizes, vp, vq)
+                    if split.b == 0:
                         continue
                     if key not in verdicts:
-                        verdicts[key] = sm.necessary_check(g, sm.make_split(g, rep_vp, rep_vq))
+                        verdicts[key] = sm.necessary_check(g, rep)
                     want, got = verdicts[key], sm.necessary_check(g, split)
                     assert got.kind == want.kind, (sizes, vp, vq)
                     assert [(r.dim, r.feasible) for r in got.records] == [
