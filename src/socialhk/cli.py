@@ -101,34 +101,35 @@ def _sample(n: int, bound: float, mode, seed, params: dict) -> dynamics.OpinionS
 
 
 def _parse_x0(source: str, n: int, bound: float, seed) -> dynamics.OpinionState:
+    name, _, arg = source.partition(":")
     if os.path.exists(source):
         try:
             with open(source) as fh:
                 payload = json.load(fh)
-            vals = payload["opinions"] if isinstance(payload, dict) else payload
-            return dynamics.OpinionState(np.array(vals, dtype=float), bound)
+            vals = np.array(payload["opinions"] if isinstance(payload, dict) else payload, dtype=float)
         except KeyError:
             raise UsageError(f"initial-state file {source!r} has no 'opinions' field") from None
         except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             raise UsageError(f"cannot read initial state from {source!r}: {exc}") from None
-    name, _, arg = source.partition(":")
-    if name == "four-path":
+    elif name == "four-path":
         kv = _parse_kv(arg)
         if "delta" not in kv:
             raise UsageError("four-path needs delta=<value>")
-        state, _pred = slowmerge.four_path_family(kv["delta"], bound)
-        return state
-    if name in ("narrow-spread", "uniform-box"):
+        vals = slowmerge.four_path_family(kv["delta"], bound)[0].opinions
+    elif name in ("narrow-spread", "uniform-box"):
         if seed is None:
             raise UsageError(f"sampler {name!r} requires --seed")
         return _sample(n, bound, name.replace("-", "_"), seed, _parse_kv(arg))
-    if ":" not in source:
+    elif ":" not in source:
         try:
-            vals = [float(v) for v in source.split(",")]
+            vals = np.array([float(v) for v in source.split(",")])
         except ValueError:
-            raise UsageError(f"cannot parse initial state {source!r}")
-        return dynamics.OpinionState(np.array(vals), bound)
-    raise UsageError(f"unknown initial-state source {source!r}")
+            raise UsageError(f"cannot parse initial state {source!r}") from None
+    else:
+        raise UsageError(f"unknown initial-state source {source!r}")
+    if vals.shape != (n,) or not np.all(np.isfinite(vals)):
+        raise UsageError(f"initial state {source!r} must hold {n} finite opinions, one per vertex")
+    return dynamics.OpinionState(vals, bound)
 
 
 def _parse_vertices(text: str, n: int) -> tuple:
@@ -261,6 +262,8 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _parse_graph(args.graph)
+    if g.n < 2:
+        raise UsageError("bounds needs a graph of at least two vertices (conductance has no cut otherwise)")
     phi, witness = graphs.conductance(g)
     diam = graphs.diameter(g)
     dec = spectral.decompose(g)

@@ -19,10 +19,10 @@ update until lock.  They differ only in the update and the termination test:
   onto a bitwise fixed point once deviations reach rounding scale, which
   misreports genuinely non-terminating dynamics.  Once locked, its update is
   one fixed diagonalizable integer matrix M, so termination is decided two
-  steps after lock, and where that costs fewer digit operations than
-  stepping the rest of the locked stretch, p steps, is computed per
-  component as r(M) applied to the state, r(x) = x^p modulo the
-  component's characteristic polynomial.
+  steps after lock, and the rest of the locked stretch, p steps, is computed
+  per component as r(M) applied to the state, r(x) = x^p modulo the
+  component's characteristic polynomial, whenever 2 p > n_max^2 for the
+  largest locked component of n_max vertices.
 
 A step whose links did not change costs ``_observe`` O(1) numpy calls: the
 mask is compared by its bytes, and ``_span_rules_out_lock`` rejects the lock
@@ -416,67 +416,6 @@ def simulate(
 # -- exact-rational engine ---------------------------------------------------
 
 
-def _digit_ops(a, b) -> float:
-    """Digit operations of CPython's product of an ``a``-digit and a
-    ``b``-digit integer: a * b below its Karatsuba cutoff of 70 digits, and
-    from there Karatsuba on chunks as wide as the narrower factor, at
-    ``70 ** 2 * (a / 70) ** log2(3)`` each."""
-    a, b = min(a, b), max(a, b)
-    return a * b if a < 70 else b / a * 4900 * (a / 70) ** math.log2(3)
-
-
-def _jump_pays(sizes, n_entries, gap, lcm_bits, width) -> bool:
-    """Whether ``gap`` locked steps cost less as one power than one by one.
-
-    Both are counted in operations on 30-bit digits, the unit of CPython's
-    integers.  A step sums ``n_entries`` integers (the live entries of the
-    update, each vertex's own included), scales one per vertex and records
-    the state's float projection, one int true division per vertex at about
-    three integer operations; the integers start ``width`` bits wide and
-    grow ``lcm_bits`` a step, and each operation also costs the interpreter
-    about 100 digit operations, so stepping costs ``(n_entries + 4 n) * gap
-    * (width + lcm_bits * gap / 2 + 3000) / 30``.  The power
-    (``_locked_power``) costs, for each locked component of ``n_c`` vertices,
-    ``n_c ** 4 * (12 + n_c * lcm_bits / 30)`` for its characteristic
-    polynomial, some ``n_c ** 4 / 4`` products of small integers with the
-    entries of A^i C, which average ``n_c * lcm_bits / 60`` digits, at 48
-    digit operations plus 8 per digit each; ``n_c * (n_c + 1) / 2`` products
-    per squaring, the last of ``d = lcm_bits * gap / 60`` digits and each
-    earlier one half as wide, so 1.5 times the last in all; and ``n_c ** 2``
-    final products of ``2 d``-digit coefficients with the ``width``-bit
-    numerators.  The power's fixed cost of some 30 us is left out.  Timed
-    from the jump's start, step lock_k + 2, to ``max_steps - 60`` on one
-    core of a 2-core x86 host under CPython 3.11, every state below locked
-    at step 0 (ms, jump / step; * marks the way the rule picks;
-    ``random:14`` is a random connected graph, ``path:6+10`` two paths
-    locked apart)::
-
-        max_steps          300            700           2000           10^4
-        path:3       0.22* / 1.57   0.27* / 5.39   0.35* / 19.7    1.04* / 195
-        path:4       0.27* / 1.20   0.25* / 3.74   0.32* / 25.5    2.70* / 267
-        path:8       0.43* / 2.92   0.52* / 6.90   1.16* / 30.2    4.92* / 538
-        path:16      1.62* / 3.61   1.93* / 11.4   3.68* / 48.8    22.0* / 864
-        path:24      5.33 / 4.79*   6.05* / 14.5   8.04* / 73.3   51.3* / 1472
-        path:32      18.3 / 11.5*   20.3* / 23.8    24.9* / 111   83.0* / 2285
-        star:16      1.96* / 3.83   2.50* / 15.3   8.16* / 97.8   42.1* / 1412
-        cycle:12     0.88* / 2.74   0.96* / 7.18   1.28* / 30.6    9.52* / 515
-        random:14    2.27* / 5.56   4.03* / 25.1    26.9* / 188    164* / 4689
-        path:6+10    1.25* / 5.90   1.39* / 11.7   1.78* / 84.3   22.3* / 1083
-
-    Over 297 such timings, of the stretch alone and of whole runs, these and
-    paths of 12 to 28 vertices, stars of 8 and 24, cycles of 16 and 24,
-    random graphs of 10 to 24 vertices and budgets from 100 to 10^4 steps,
-    no pick lost more than 1.9 ms, and only path:32 at 550 and 600 steps,
-    where the two differ by a tenth, lost more than 0.7 ms.
-    """
-    n = sum(sizes)
-    steps = (n_entries + 4 * n) * gap * (width + lcm_bits * gap / 2 + 3000) / 30
-    d = lcm_bits * gap / 60
-    power = sum(c**4 * (12 + c * lcm_bits / 30) + 0.75 * c * (c + 1) * _digit_ops(d, d)
-                + c * c * _digit_ops(width / 30, 2 * d) for c in sizes)
-    return power < steps
-
-
 def _charpoly(rows) -> list:
     """``[c_1, ..., c_n]`` with det(x I - rows) = x^n + c_1 x^(n-1) + ... + c_n
     for a square integer matrix, by Berkowitz's division-free recursion.  A
@@ -581,13 +520,25 @@ def simulate_exact(
     symmetric matrix, so it is diagonalizable, and a state past lock_k + 1
     repeats only if the state at lock_k + 1 already does: the termination
     test of step lock_k + 2 decides termination for good.  From there the
-    stretch up to step ``max_steps - window`` is one power of M, whenever
-    ``_jump_pays`` counts that cheaper than stepping.  M is block-diagonal
-    over the locked components, and each block's power is a polynomial in
-    the block of degree below its size (``_locked_power``): x^p modulo its
-    characteristic polynomial, raised by repeated squaring at n_c (n_c + 1)
-    / 2 big products a squaring.  The integers are those the steps would
-    give; ``Trajectory.exact_jump`` names the stretch skipped.
+    stretch up to step ``max_steps - window``, ``gap`` steps, is one power of
+    M.  M is block-diagonal over the locked components, and each block's
+    power is a polynomial in the block of degree below its size
+    (``_locked_power``): x^p modulo its characteristic polynomial, raised by
+    repeated squaring at n_c (n_c + 1) / 2 big products a squaring.  The
+    integers are those the steps would give; ``Trajectory.exact_jump`` names
+    the stretch skipped.
+
+    The power is taken when ``2 * gap > n_max ** 2``, for the largest locked
+    component of n_max vertices.  The integers grow log2(lcm) bits a step,
+    so stepping costs about n * gap^2 * log2(lcm) / 2 digit operations; the
+    power's cost is its characteristic polynomials, some n_c^4 / 4 products
+    with entries about n_c * log2(lcm) bits wide each.  log2(lcm) cancels,
+    so the two cross at a gap proportional to n_c^2, and 1/2 is the factor
+    that timings of both ways fit best: on one core of a 2-core x86 host
+    under CPython 3.11, over whole runs of paths, cycles, stars and random
+    graphs of 4 to 64 vertices with stretches of 1 to 3,200 steps, no pick
+    lost more than 2.5 ms to the faster way (1/4 lost up to 73 ms, 1 up to
+    207 ms).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -652,13 +603,14 @@ def simulate_exact(
             if stop:
                 break
 
-        # Past lock_k + 1 without termination no later state repeats (see
-        # the docstring), so the locked stretch up to the final window is one
-        # power of the frozen update, taken per component.
+        # Past lock_k + 1 without termination no later state repeats, so the
+        # locked stretch up to the final window is one power of the frozen
+        # update, taken per component, once it is longer than n_max^2 / 2
+        # steps for the largest component (see the docstring).
         gap = max_steps - window - k
-        if traj.locked and k == traj.lock_k + 2 and gap > 0:
+        if traj.locked and k == traj.lock_k + 2:
             components = [c.tolist() for c in np.split(groups[0], groups[1][1:])]
-            if _jump_pays([len(c) for c in components], len(s), gap, math.log2(lcm), denom.bit_length()):
+            if 2 * gap > max(map(len, components)) ** 2:
                 y = _locked_power(neigh, components, y, gap)
                 denom *= lcm**gap
                 traj.exact_jump = (k, k + gap)

@@ -560,12 +560,7 @@ def _column_space(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > tol * s[0]))
-    cols = []
-    for c in range(rank):
-        col = u[:, c]
-        lead = next(x for x in col if abs(x) > 1e-12)
-        cols.append(col if lead > 0 else -col)
-    return np.column_stack(cols) if cols else np.zeros((mat.shape[0], 0))
+    return np.column_stack([spectral._sign_normalize(u[:, c]) for c in range(rank)])
 
 
 def necessary_check(gph: Graph, split: SplitSpec) -> MergeVerdict:

@@ -315,6 +315,13 @@ class TestExitCodes:
         ["--graph", "path:4", "--x0", "four-path:d=0.1"],
         ["--graph", "path:3", "--x0", "uniform-box:lo=0"],
         ["--graph", "path:3", "--x0", "narrow-spread:center=0"],
+        # one finite opinion per vertex, whatever the source
+        ["--graph", "path:3", "--x0", "0,0,nan"],
+        ["--graph", "path:3", "--x0", "0,0,inf"],
+        ["--graph", "path:3", "--x0", "0,0"],
+        ["--graph", "path:3", "--x0", ("x0.json", "[0.0, 0.5]")],
+        ["--graph", "path:3", "--x0", ("x0.json", '{"opinions": [0.0, NaN, 1.0]}')],
+        ["--graph", "path:3", "--x0", "four-path:delta=0.25"],
     ])
     def test_malformed_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         for idx, arg in enumerate(argv):
@@ -414,6 +421,12 @@ class TestExitCodes:
         assert len(read(f"{out}/energy.csv").splitlines()) == 1 + 6
         events = [json.loads(line) for line in read(f"{out}/events.jsonl").splitlines()]
         assert [e["kind"] for e in events] == ["link_form", "merge", "lock"]
+
+    @pytest.mark.parametrize("graph", ["path:1", "complete:1"])
+    def test_bounds_on_one_vertex_is_a_usage_error(self, graph, capsys):
+        # a traceback exits 1 too, so the message is checked as well
+        assert run(["bounds", "--graph", graph, "--eps", "0.01", "--R", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: bounds needs ")
 
     def test_numerical_failure(self, capsys):
         # conductance guard: exhaustive enumeration refuses n > 24

@@ -938,6 +938,19 @@ class TestInvariantProperties:
             ]
             assert structural == []
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a float lock is certified on the state at lock, not on the rounded float "
+        "steps after it; here step 1 has x_0 = 0.1 + 2^-56, so |x_3 - x_0| <= 0.3 and the link "
+        "(0, 3) is live, yet the frozen influence graph omits it"))
+    def test_float_lock_survives_rounding(self):
+        # a triangle {0, 1, 2} plus the pendant edge (0, 3)
+        g = graphs.Graph(4, frozenset({(0, 1), (0, 2), (1, 2), (0, 3)}))
+        traj = dynamics.simulate(g, OpinionState([0.1, 0.1, 0.1, 0.4], 0.3), 10)
+        assert traj.lock_k == 0 and traj.termination_k == 1
+        assert traj.states[1][0] == 0.1 + 2**-56
+        for k, x in enumerate(traj.states):
+            assert traj.influence_edges_at(k) == dynamics.influence_edges(g, x, 0.3), k
+
 
 class TestExactEngine:
     def test_matches_float_on_eventful_run(self):
@@ -1117,8 +1130,8 @@ class TestExactJump:
 
     @pytest.mark.parametrize("case", ["path:12", "path:16", "random:10"])
     def test_fires_on_larger_components(self, case):
-        # a power costs n_c (n_c + 1) / 2 big products per squaring, so at
-        # 3000 steps the jump pays on these 10-16 vertex components
+        # 2938 locked steps are more than n_c^2 / 2 for these 10-16 vertex
+        # components
         if case == "random:10":
             rng = philox(10)
             g = random_connected_graph(rng, 10)
@@ -1130,19 +1143,35 @@ class TestExactJump:
         assert traj.exact_jump == (traj.lock_k + 2, 3_000 - dynamics.EXACT_WINDOW)
         assert_matches_step_loop(traj, loop_simulate_exact(g, x0, 1.0, 3_000))
 
+    def test_fires_on_a_64_vertex_path(self):
+        # 2938 locked steps are more than 64^2 / 2 = 2048
+        x0 = [float(v) for v in philox(64).uniform(-0.25, 0.25, 64)]
+        traj = dynamics.simulate_exact(path_graph(64), x0, 1.0, 3_000)
+        assert traj.exact_jump == (2, 3_000 - dynamics.EXACT_WINDOW)
+        assert_matches_step_loop(traj, loop_simulate_exact(path_graph(64), x0, 1.0, 3_000))
+
+    def test_the_largest_component_sets_the_bound(self):
+        # path:9 locked at step 0 into path:3 and path:6, so a stretch jumps
+        # once it is longer than 6^2 / 2 = 18 steps
+        g, x0 = path_graph(9), [0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 5.3, 5.4, 5.5]
+        traj = dynamics.simulate_exact(g, x0, 1.0, self.FLOOR + 18)
+        assert traj.lock_k == 0 and len(traj.influence_graph_at(0).components) == 2
+        assert traj.exact_jump is None
+        traj = dynamics.simulate_exact(g, x0, 1.0, self.FLOOR + 19)
+        assert traj.exact_jump == (2, 21)
+        assert_matches_step_loop(traj, loop_simulate_exact(g, x0, 1.0, self.FLOOR + 19))
+
     def test_does_not_fire_where_stepping_is_cheaper(self):
-        # 238 locked steps of path:32: the characteristic polynomial's ~32^4
-        # small products cost more than stepping (timed 13 ms against 7 ms)
+        # 238 locked steps of path:32 are fewer than 32^2 / 2 = 512
         x0 = [float(v) for v in philox(32).uniform(-0.25, 0.25, 32)]
         traj = dynamics.simulate_exact(path_graph(32), x0, 1.0, 300)
         assert traj.lock_k == 0 and traj.termination_k is None and traj.exact_jump is None
 
     def test_does_not_fire_without_a_stretch_to_skip(self):
-        # the count leaves out the power's fixed cost, so on path:3 a
-        # single locked step, with its projection, is taken as a power
+        # path:3 jumps a stretch longer than 3^2 / 2 steps: 5 steps, not 4
         x0 = [0.1, 0.0, -0.1]
-        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR).exact_jump is None
-        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 1).exact_jump == (2, 3)
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 4).exact_jump is None
+        assert dynamics.simulate_exact(path_graph(3), x0, 1.0, self.FLOOR + 5).exact_jump == (2, 7)
         assert dynamics.simulate_exact(path_graph(3), x0, 1.0, 10_000, stop_on="lock").exact_jump is None
 
     def test_does_not_fire_on_an_unlocked_run(self):
