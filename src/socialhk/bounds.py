@@ -59,7 +59,7 @@ def constant_influence_upper_bound(n: int, diam: int, eps: float, bound: float) 
         raise ValueError("need n >= 2 and diameter >= 1")
     if eps <= 0 or bound <= 0:
         raise ValueError("eps and the confidence bound must be positive")
-    shrink = math.log(1.0 - 1.0 / (n * n * diam))
+    shrink = math.log1p(-1.0 / (n * n * diam))  # log(1 - x) loses x's digits to cancellation
 
     def kappa(e):
         return math.log(e / (n * n * bound)) / shrink

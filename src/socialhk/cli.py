@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import dynamics, graphs, sampling, slowmerge, spectral
-from .errors import BudgetExhausted, GraphFormatError, InvalidSeed, SocialHKError
+from .errors import BudgetExhausted, EmptyVertexSet, GraphFormatError, InvalidSeed, SocialHKError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,7 +106,10 @@ def _parse_x0(source: str, n: int, bound: float, seed) -> dynamics.OpinionState:
         try:
             with open(source) as fh:
                 payload = json.load(fh)
-            vals = np.array(payload["opinions"] if isinstance(payload, dict) else payload, dtype=float)
+            opinions = payload["opinions"] if isinstance(payload, dict) else payload
+            if bool in map(type, opinions):
+                raise ValueError("true and false are not opinions")
+            vals = np.array(opinions, dtype=float)
         except KeyError:
             raise UsageError(f"initial-state file {source!r} has no 'opinions' field") from None
         except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
@@ -132,20 +135,21 @@ def _parse_x0(source: str, n: int, bound: float, seed) -> dynamics.OpinionState:
     return dynamics.OpinionState(vals, bound)
 
 
-def _parse_vertices(text: str, n: int) -> tuple:
+def _parse_vertices(text: str) -> list:
     try:
-        vs = tuple(int(v) - 1 for v in text.split(","))
+        return [int(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse vertex list {text!r}")
-    if any(not 0 <= v < n for v in vs):
-        raise UsageError(f"vertex out of range in {text!r} (1..{n})")
-    return vs
+        raise UsageError(f"cannot parse vertex list {text!r}") from None
 
 
 def _split(g, vp, vq) -> slowmerge.SplitSpec:
+    """The split of the 1-based vertex lists ``vp`` and ``vq``."""
+    for v in (*vp, *vq):
+        if not 1 <= v <= g.n:
+            raise UsageError(f"bad split: vertex {v} out of range 1..{g.n}")
     try:
-        return slowmerge.make_split(g, vp, vq)
-    except ValueError as exc:  # sides that overlap
+        return slowmerge.make_split(g, [v - 1 for v in vp], [v - 1 for v in vq])
+    except (ValueError, EmptyVertexSet) as exc:  # sides that overlap or are empty
         raise UsageError(f"bad split: {exc}") from None
 
 
@@ -297,7 +301,7 @@ def _verdict_payload(v: slowmerge.MergeVerdict) -> dict:
 
 def _cmd_check_merge(args) -> int:
     g = _parse_graph(args.graph)
-    split = _split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
+    split = _split(g, _parse_vertices(args.vp), _parse_vertices(args.vq))
     out = {
         "vp": [v + 1 for v in split.vp],
         "vq": [v + 1 for v in split.vq],
@@ -311,7 +315,7 @@ def _cmd_check_merge(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _parse_graph(args.graph)
-    split = _split(g, _parse_vertices(args.vp, g.n), _parse_vertices(args.vq, g.n))
+    split = _split(g, _parse_vertices(args.vp), _parse_vertices(args.vq))
     verdict = slowmerge.sufficient_check(g, split)
     if verdict.kind != slowmerge.SUFFICIENT_HOLDS:
         print(json.dumps({"error": "sufficient condition fails", "verdict": _verdict_payload(verdict)}))
@@ -334,30 +338,6 @@ def _graph_bounds(g, eps, bound) -> dict:
         out["bound_kappa_cap"] = bounds_mod.constant_influence_upper_bound(g.n, graphs.diameter(g), eps, bound).value
     out["bound_break_budget"] = bounds_mod.link_break_budget(g.n, bound).value
     return out
-
-
-def _sweep_row(g, cfg, split, row_id, params, graph_bounds) -> dict:
-    bound = cfg["R"]
-    eps_list = cfg.get("eps", [])
-    max_steps = cfg.get("max_steps", 1000)
-    if "delta" in params:
-        delta = params["delta"]
-        if split is not None:
-            verdict = slowmerge.sufficient_check(g, split)
-            state, predicted = slowmerge.construct_slow_state(g, split, verdict, delta, bound)
-        else:
-            state, predicted = slowmerge.four_path_family(delta, bound)
-    else:
-        sampler = dict(cfg["sampler"])
-        state = _sample(g.n, bound, sampler.pop("mode", None), params["seed"], sampler)
-        predicted = None
-    traj = dynamics.simulate(g, state, max_steps)
-    row = {"row": row_id, **params, "predicted_merge": predicted}
-    row.update(_flatten_summary(_summary(traj, eps_list)))
-    row["partial"] = traj.n_steps >= max_steps and not traj.locked and traj.termination_k is None
-    row.update(graph_bounds)
-    row["config"] = json.dumps({**cfg, **params}, sort_keys=True)
-    return row
 
 
 def _flatten_summary(summary: dict) -> dict:
@@ -384,44 +364,47 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    for field in ("graph", "R"):
-        if field not in cfg:
-            raise UsageError(f"config is missing required field {field!r}")
-    if not isinstance(cfg["graph"], str):
+    if not isinstance(cfg.get("graph"), str):
         raise UsageError("config field 'graph' must be a string such as \"path:4\" or a file name")
     g = _parse_graph(cfg["graph"])
-    split = None
+    bound = _config_field(cfg, "R", _positive(float))
+    max_steps = _config_field(cfg, "max_steps", _positive(int), 1000)
+    eps_list = _config_field(cfg, "eps", _positive(float), [], many=True)
     if "deltas" in cfg:
-        if not _list_of(cfg["deltas"], (int, float)):
-            raise UsageError("config field 'deltas' must be a list of numbers")
+        key, values = "delta", _config_field(cfg, "deltas", float, many=True)
         if "split" in cfg:
-            sides = [cfg["split"].get(s) if isinstance(cfg["split"], dict) else None for s in ("vp", "vq")]
-            if not all(_list_of(vs, int) and vs and all(1 <= v <= g.n for v in vs) for vs in sides):
-                raise UsageError("config field 'split' must hold nonempty lists 'vp' and 'vq' "
-                                 f"of vertices 1..{g.n}")
-            split = _split(g, *([v - 1 for v in vs] for vs in sides))
-        jobs = [{"delta": d} for d in cfg["deltas"]]
+            if not isinstance(cfg["split"], dict):
+                raise UsageError("config field 'split' must be an object with lists 'vp' and 'vq'")
+            split = _split(g, *(_config_field(cfg["split"], side, int, many=True) for side in ("vp", "vq")))
+            verdict = slowmerge.sufficient_check(g, split)
+
+            def start(delta):
+                return slowmerge.construct_slow_state(g, split, verdict, delta, bound)
+        else:
+            def start(delta):
+                return slowmerge.four_path_family(delta, bound)
     elif "seeds" in cfg:
         if not isinstance(cfg.get("sampler"), dict):
             raise UsageError("config with 'seeds' needs a 'sampler' section")
-        if not _list_of(cfg["seeds"], int):
-            raise UsageError("config field 'seeds' must be a list of integers")
-        if any(s == 0 for s in cfg["seeds"]):
-            raise InvalidSeed("seed 0 is reserved; pick any other integer")
-        jobs = [{"seed": s} for s in cfg["seeds"]]
+        key, values = "seed", _config_field(cfg, "seeds", int, many=True)
+        sampler = dict(cfg["sampler"])
+        mode = sampler.pop("mode", None)
+
+        def start(seed):
+            return _sample(g.n, bound, mode, seed, sampler), None
     else:
         raise UsageError("config needs either 'deltas' or 'seeds'")
-    if not isinstance(cfg.get("eps", []), list):
-        raise UsageError("config field 'eps' must be a list of numbers")
-    numbers = [("R", float, cfg["R"]), ("max_steps", int, cfg.get("max_steps", 1000))]
-    for field, cast, val in numbers + [("eps", float, e) for e in cfg.get("eps", [])]:
-        try:  # the argparse check on the JSON text, which keeps "1.5" and true out
-            _positive(cast)(json.dumps(val))
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"config field {field!r}: {exc}") from None
 
-    graph_bounds = _graph_bounds(g, min(cfg.get("eps") or [1e-2]), cfg["R"])
-    rows = [_sweep_row(g, cfg, split, i, params, graph_bounds) for i, params in enumerate(jobs)]
+    graph_bounds = _graph_bounds(g, min(eps_list or [1e-2]), bound)
+    rows = []
+    for i, val in enumerate(values):
+        state, predicted = start(val)
+        traj = dynamics.simulate(g, state, max_steps)
+        rows.append({
+            "row": i, key: val, "predicted_merge": predicted, **_flatten_summary(_summary(traj, eps_list)),
+            "partial": traj.n_steps >= max_steps and not traj.locked and traj.termination_k is None,
+            **graph_bounds, "config": json.dumps({**cfg, key: val}, sort_keys=True),
+        })
 
     header = sorted({k for r in rows for k in r}, key=lambda k: (k != "row", k))
     buf = io.StringIO()  # csv.writer quotes the config cells
@@ -432,9 +415,17 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _list_of(val, types) -> bool:
-    """Whether ``val`` is a list of ``types`` values; JSON true and false are not numbers."""
-    return isinstance(val, list) and all(isinstance(v, types) and not isinstance(v, bool) for v in val)
+def _config_field(cfg: dict, name: str, parse, default=None, many=False):
+    """Field ``name`` of a sweep config, read by ``parse``, the type of the
+    matching command-line argument, from its JSON text (so 1.5 is no integer
+    and true no number); with ``many``, a list of such values."""
+    val = cfg.get(name, default)
+    try:
+        if many and not isinstance(val, list):
+            raise ValueError(f"expected a list, got {json.dumps(val)}")
+        return [parse(json.dumps(v)) for v in val] if many else parse(json.dumps(val))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"config field {name!r}: {exc}") from None
 
 
 def _positive(cast):

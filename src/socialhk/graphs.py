@@ -435,14 +435,14 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise GraphFormatError("expected an object with 'n' and 'edges'")
     n = payload["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true and false are bools, not integers
         raise GraphFormatError("'n' must be a positive integer")
     seen = set()
     for pair in payload["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphFormatError(f"edge {pair!r} is not a pair")
         i, j = pair
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise GraphFormatError(f"edge {pair!r} has non-integer endpoints")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphFormatError(f"edge {pair!r} out of range for n={n}")

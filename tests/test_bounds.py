@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class TestConductanceLowerBound:
         assert rep.value == pytest.approx(want, rel=1e-15)
         rep = bounds.constant_influence_upper_bound(5, 2, 0.01, 1.5)
         i = rep.inputs
-        shrink = np.log(1 - 1 / (i["n"] ** 2 * i["d"]))
+        shrink = np.log1p(-1 / (i["n"] ** 2 * i["d"]))
         assert rep.extras["kappa_eps"] == pytest.approx(
             np.log(i["eps"] / (i["n"] ** 2 * i["R"])) / shrink, rel=1e-15
         )
@@ -51,6 +53,17 @@ class TestConstantInfluenceUpperBound:
         assert rep.extras["kappa_R_half"] == pytest.approx(164.61637496489413, rel=1e-12)
         assert rep.value == pytest.approx(164.61637496489413, rel=1e-12)
         assert rep.extras["lambda2_upper"] == pytest.approx(1 - 1 / 48, rel=1e-15)
+
+    @pytest.mark.parametrize("n, d", [(10**5, 5 * 10**4), (10**6, 10**6)])
+    def test_kappa_on_large_graphs(self, n, d):
+        # 1 - 1/(n^2 d) is within an ulp or two of 1 (1 itself at 10^6), so
+        # log(1 - x) keeps few of x's digits; the reference is evaluated in
+        # 40-digit decimals
+        rep = bounds.constant_influence_upper_bound(n, d, 0.01, 1.0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = (Decimal(0.01) / (n * n)).ln() / (1 - Decimal(1) / (n * n * d)).ln()
+        assert rep.extras["kappa_eps"] == pytest.approx(float(want), rel=1e-13)
 
     def test_eps_equal_cap_gives_zero(self):
         rep = bounds.constant_influence_upper_bound(3, 2, 9.0, 1.0)

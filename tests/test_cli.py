@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from socialhk import cli
+from socialhk import cli, slowmerge
 
 
 def run(argv):
@@ -283,6 +283,27 @@ class TestOtherCommands:
         assert "bound_conductance_floor" in empty
         assert {**empty, "config": None} == {**absent, "config": None}
 
+    def test_split_sweep_decides_its_verdict_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        check = slowmerge.sufficient_check
+        monkeypatch.setattr(slowmerge, "sufficient_check", lambda *a: calls.append(a) or check(*a))
+        deltas = [0.25, 0.0625, 0.00390625]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": "path:4", "R": 1.0, "deltas": deltas,
+            "split": {"vp": [1, 2, 3], "vq": [4]}, "eps": [0.01], "max_steps": 300,
+        }))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        # every row starts from the state construct emits for its delta
+        for row, delta in zip(rows, deltas, strict=True):
+            assert run(["--out", str(tmp_path), "construct", "--graph", "path:4",
+                        "--vp", "1,2,3", "--vq", "4", "--delta", repr(delta)]) == 0
+            made = json.loads(capsys.readouterr().out)
+            assert int(row["predicted_merge"]) == made["predicted_merge_time"] == int(row["first_merge"])
+
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -322,6 +343,8 @@ class TestExitCodes:
         ["--graph", "path:3", "--x0", ("x0.json", "[0.0, 0.5]")],
         ["--graph", "path:3", "--x0", ("x0.json", '{"opinions": [0.0, NaN, 1.0]}')],
         ["--graph", "path:3", "--x0", "four-path:delta=0.25"],
+        # JSON true and false are not opinions
+        ["--graph", "path:3", "--x0", ("x0.json", "[true, 0.5, 1]")],
     ])
     def test_malformed_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         for idx, arg in enumerate(argv):
@@ -396,6 +419,28 @@ class TestExitCodes:
     def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
         assert run(["--out", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err.startswith("usage error: argument ")
+
+    @pytest.mark.parametrize("value", [-1, 0, 1, "1.5", True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("option, field", [
+        ("--R", "R"), ("--max-steps", "max_steps"), ("--eps", "eps"), ("--seed", "seeds"),
+    ])
+    def test_sweep_config_fields_follow_their_arguments(self, option, field, value, tmp_path, capsys):
+        # the argument gets the JSON text of the value the config field holds;
+        # both accept it or both refuse it, with one exit code and stderr prefix
+        text = json.dumps(value)
+        sim = ["--seed", text if option == "--seed" else "1", "--out", str(tmp_path), "simulate",
+               "--graph", "path:3", "--x0", "uniform-box:lo=0,hi=1", "--max-steps", "5"]
+        sim_code = run(sim if option == "--seed" else [*sim, option, text])
+        sim_err = capsys.readouterr().err.partition(":")[0]
+        cfg = {"graph": "path:3", "R": 1.0, "seeds": [1], "max_steps": 5,
+               "sampler": {"mode": "uniform_box", "lo": 0.0, "hi": 1.0},
+               field: [value] if field in ("eps", "seeds") else value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        sweep_code = run(["--out", str(tmp_path), "sweep", "--config", str(path)])
+        assert (sweep_code, capsys.readouterr().err.partition(":")[0]) == (sim_code, sim_err)
+        accepted = type(value) is int and value in ((1, -1) if field == "seeds" else (1,))
+        assert sim_code == (0 if accepted else 1)
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

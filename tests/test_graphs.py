@@ -487,3 +487,8 @@ class TestJson:
             graphs.graph_from_json("{not json")
         with pytest.raises(GraphFormatError):
             graphs.graph_from_json('{"n": 2}')
+        # JSON true and false are bools, not integers
+        with pytest.raises(GraphFormatError):
+            graphs.graph_from_json('{"n": 3, "edges": [[true, 2]]}')
+        with pytest.raises(GraphFormatError):
+            graphs.graph_from_json('{"n": true, "edges": []}')
