@@ -53,13 +53,15 @@ def constant_influence_upper_bound(n: int, diam: int, eps: float, bound: float) 
 
     kappa(e) = log(e / (n^2 R)) / log(1 - 1/(n^2 d)); the usable ceiling is
     min(ceil(kappa(eps)), kappa(R/2)).  Also reports the spectral ingredient
-    |lambda_2| <= 1 - 1/(n^2 d).
+    |lambda_2| <= 1 - 1/(n^2 d), and its gap 1/(n^2 d), whose digits the
+    difference loses on large graphs.
     """
     if n < 2 or diam < 1:
         raise ValueError("need n >= 2 and diameter >= 1")
     if eps <= 0 or bound <= 0:
         raise ValueError("eps and the confidence bound must be positive")
-    shrink = math.log1p(-1.0 / (n * n * diam))  # log(1 - x) loses x's digits to cancellation
+    gap = 1.0 / (n * n * diam)
+    shrink = math.log1p(-gap)  # log(1 - x) loses x's digits to cancellation
 
     def kappa(e):
         return math.log(e / (n * n * bound)) / shrink
@@ -74,7 +76,8 @@ def constant_influence_upper_bound(n: int, diam: int, eps: float, bound: float) 
         extras={
             "kappa_eps": k_eps,
             "kappa_R_half": k_half,
-            "lambda2_upper": 1.0 - 1.0 / (n * n * diam),
+            "lambda2_upper": 1.0 - gap,
+            "lambda2_gap": gap,
         },
     )
 
@@ -96,10 +99,13 @@ def link_break_budget(n: int, bound: float) -> BoundReport:
 
 
 def lambda2_diameter_bound(n: int, diam: int) -> BoundReport:
-    """The spectral ingredient alone: |lambda_2| <= 1 - 1/(n^2 d)."""
+    """The spectral ingredient alone: |lambda_2| <= 1 - 1/(n^2 d).  The gap
+    1/(n^2 d) is reported as ``lambda2_gap``: the value loses its digits to
+    the subtraction, and once n^2 d reaches 2^54 it rounds to 1.0."""
     if n < 2 or diam < 1:
         raise ValueError("need n >= 2 and diameter >= 1")
-    return BoundReport("Lambda2Diameter", 1.0 - 1.0 / (n * n * diam), {"n": n, "d": diam})
+    gap = 1.0 / (n * n * diam)
+    return BoundReport("Lambda2Diameter", 1.0 - gap, {"n": n, "d": diam}, extras={"lambda2_gap": gap})
 
 
 def eigenvector_witness_state(gph: Graph, bound: float, scale: float = 0.9) -> OpinionState:

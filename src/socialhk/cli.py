@@ -212,9 +212,7 @@ def _summary(traj: dynamics.Trajectory, eps_list) -> dict:
     if traj.locked:
         ss = dynamics.steady_state(traj)
         out["steady_values"] = list(ss.values)
-        out["k_eps"] = {
-            repr(e): dynamics.eps_convergence_time(traj, ss, e) for e in eps_list
-        }
+        out["k_eps"] = dict(zip(map(repr, eps_list), dynamics.eps_convergence_time(traj, ss, list(eps_list))))
         if not traj.is_exact:
             g, mask = traj.gph, traj.epochs[-1].mask  # a float run opens no epoch after its lock
             energy = dynamics._energy(g.n, g.src[mask], g.dst[mask], traj.lock_state, traj.confidence_bound)

@@ -11,7 +11,8 @@ per-component opinion hulls and the stop rule, at step 0 and after every
 update until lock.  They differ only in the update and the termination test:
 
 * the float engine (``simulate``) runs IEEE doubles and is the default; a
-  state terminates when the update repeats it bitwise;
+  state terminates when the update repeats it bitwise, and once locked it
+  steps in blocks of rows (``_locked_stretch``);
 * the exact engine (``simulate_exact``) runs integer arithmetic over a
   common denominator, so state equality and neighbor tests are decided in
   exact rational arithmetic; a state terminates when every live link joins
@@ -77,6 +78,7 @@ from .graphs import (
 
 HISTORY_CAP = 100_000
 _ENERGY_ROWS = 256  # recorded states per block of Trajectory.energies
+_BLOCK = 64  # locked float steps per block of _locked_stretch
 EXACT_WINDOW = 60
 
 
@@ -306,14 +308,13 @@ def _energy(n, src, dst, x, bound):
     return act + (n * n - n - 2 * len(src)) * float(bound) ** 2, act
 
 
-def _check_stop(stop_on, locked, state_dist=None):
-    """Whether ``stop_on`` ends a run; termination is each engine's own test."""
-    if stop_on is None or stop_on == "termination":
-        return False
+def _check_stop(stop_on, locked) -> bool:
+    """Whether ``stop_on`` ends a run at its lock; termination is each
+    engine's own test, and distance stops are ``_locked_stretch``'s."""
     if stop_on == "lock":
         return locked
-    if isinstance(stop_on, tuple) and stop_on[0] == "eps":
-        return locked and state_dist is not None and state_dist < stop_on[1]
+    if stop_on is None or stop_on == "termination" or (isinstance(stop_on, tuple) and stop_on[0] == "eps"):
+        return False
     raise ValueError(f"unknown stop condition {stop_on!r}")
 
 
@@ -323,7 +324,7 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
     hulls of ``z``, the state scaled so that links live at
     ``|z_i - z_j| <= limit``.  ``groups`` is the current epoch's
     ``label_groups``; returns the grouping after step ``k`` and whether
-    ``stop_on`` ends the run here (distance stops are the float loop's)."""
+    ``stop_on`` ends the run here (distance stops are ``_locked_stretch``'s)."""
     gph = traj.gph
     mask = _live_mask(gph, z, limit)
     if not traj.epochs or mask.tobytes() != traj.epochs[-1].mask.tobytes():
@@ -342,6 +343,50 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
     return groups, _check_stop(stop_on, traj.locked)
 
 
+def _locked_stretch(traj: Trajectory, x, avg, max_steps, stop_on, history_cap) -> bool:
+    """Step a float run from its lock state ``x`` until a repeat, an
+    ``("eps", value)`` stop or ``max_steps``; returns whether a repeat or the
+    stop ended it.
+
+    The graph is frozen, so nothing is observed: steps run in blocks of
+    ``_BLOCK`` rows of one array, each row the update ``_average`` makes of the
+    row before, and one comparison per block finds the first repeat.  ``==``
+    counts -0.0 equal to 0.0 and, on states without NaN, is the byte test on
+    ``x + 0.0``.  Rows stepped past a repeat or a stop are dropped; ``states``
+    keeps views of the rows it records."""
+    t, s, deg = avg[0], avg[1], avg[2].astype(float)  # a float divisor saves a cast per row
+    eps = stop_on[1] if isinstance(stop_on, tuple) else None
+    if eps is not None:
+        x_inf = steady_state(traj).x_inf
+        if np.linalg.norm(x - x_inf) < eps:
+            return True
+    k = traj.lock_k
+    while k < max_steps:
+        rows = np.empty((min(_BLOCK, max_steps - k) + 1, len(x)))
+        rows[0] = x
+        for prev, row in zip(rows, rows[1:]):
+            np.divide(np.bincount(t, weights=prev[s]), deg, out=row)
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+        end = int(same.argmax()) if same.any() else len(same)  # rows 1..end are new states
+        hit = None
+        if eps is not None:
+            hit = next((i for i in range(1, end + 1) if np.linalg.norm(rows[i] - x_inf) < eps), None)
+        last = end if hit is None else hit
+        room = max(history_cap + 1 - len(traj.states), 0)
+        traj.states.extend(rows[1:1 + min(last, room)])
+        traj.truncated |= last > room
+        k += last
+        traj.n_steps = k
+        if hit is not None:
+            return True
+        if end < len(same):
+            traj.termination_k = k
+            traj.events.append(Event(k, "termination"))
+            return True
+        x = rows[-1]
+    return False
+
+
 def simulate(
     gph: Graph,
     state: OpinionState,
@@ -358,9 +403,12 @@ def simulate(
     since nothing can change afterwards.
 
     Links, events, epochs, the lock and the stop rule come from ``_observe``,
-    as in ``simulate_exact``; this loop adds the float update, the bitwise
-    termination test, ``("eps", value)`` stops and ``history_cap``; energies
-    are derived from the recorded states by ``Trajectory.energies``.
+    as in ``simulate_exact``, at every step up to the lock; this loop adds the
+    float update, the bitwise termination test and ``history_cap``.  From the
+    lock on ``_locked_stretch`` steps the frozen update in blocks of rows and
+    decides ``("eps", value)`` stops; the states it records are bitwise those
+    of one-step-at-a-time stepping.  Energies are derived from the recorded
+    states by ``Trajectory.energies``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -370,7 +418,7 @@ def simulate(
     x = np.array(state.opinions, dtype=float)
 
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[])
-    groups = x_inf = None
+    groups = None
     # A repeat is tested on the bytes of the state, which is np.array_equal
     # as long as no entry is -0.0 or NaN.  An update can give -0.0 (a
     # subnormal negative sum divided by the degree rounds to it), so both
@@ -385,6 +433,7 @@ def simulate(
             if new_bytes == x_bytes:
                 traj.termination_k = k - 1
                 traj.events.append(Event(k - 1, "termination"))
+                stop = True
                 break
             x, x_bytes = x_new, new_bytes
             traj.n_steps = k
@@ -393,23 +442,15 @@ def simulate(
             else:
                 traj.truncated = True
 
-        if not traj.locked:  # a locked graph is frozen: no recomputation needed
-            groups, stop = _observe(traj, k, x, bound, groups, stop_on)
-            if traj.lock_k == k:
-                traj.lock_state = x.copy()
-            if traj.epochs[-1].k_start == k:
-                avg = _averaging(gph, traj.epochs[-1].mask)
-
-        if stop:
+        groups, stop = _observe(traj, k, x, bound, groups, stop_on)
+        if traj.epochs[-1].k_start == k:
+            avg = _averaging(gph, traj.epochs[-1].mask)
+        if traj.locked:  # a locked graph is frozen: nothing more to observe
+            traj.lock_state = x.copy()
+            stop = stop or _locked_stretch(traj, x, avg, max_steps, stop_on, history_cap)
             break
-        if isinstance(stop_on, tuple) and traj.locked:
-            if x_inf is None:
-                x_inf = steady_state(traj).x_inf
-            if _check_stop(stop_on, True, float(np.linalg.norm(x - x_inf))):
-                break
-    else:
-        if stop_on is not None:
-            raise BudgetExhausted(max_steps, traj)
+    if not stop and stop_on is not None:
+        raise BudgetExhausted(max_steps, traj)
     return traj
 
 
@@ -671,9 +712,11 @@ def steady_state(traj: Trajectory) -> SteadyState:
     return SteadyState(ig.components, tuple(values), k, x_inf, tuple(exact_vals))
 
 
-def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
+def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     """First step from which the trajectory is certified to stay within
     ``eps`` (2-norm) of the limit: an upper bound on the smallest such N.
+    Given a list of eps, returns the list of their steps, from one spectral
+    tail built once.
 
     Beyond lock each frozen component's deviation splits over the eigenspaces
     of its normalized adjacency matrix, and the part in the eigenspace of
@@ -690,15 +733,19 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
     Raises HistoryTruncated when the answer needs pre-lock states that
     ``history_cap`` dropped.
     """
-    if eps <= 0:
+    eps_list = eps if isinstance(eps, list) else [eps]
+    if any(e <= 0 for e in eps_list):
         raise EpsTooSmall("eps must be positive")
     if not traj.locked:
         raise NotLocked("eps-convergence time requires a locked trajectory")
+    if not eps_list:
+        return []
     k_lock = traj.lock_k
     ig = traj.influence_graph_at(k_lock)
 
     # Per component: the norm of the deviation at lock in each eigenspace,
-    # and that eigenspace's |lambda|.
+    # and that eigenspace's |lambda|.  Clusters are runs of consecutive
+    # eigenvalues, so one reduceat over their starts gives every rate.
     comp_tails = []
     for comp in ig.components:
         sub, vs = induced_subgraph(ig.graph, comp)
@@ -706,35 +753,39 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps: float) -> int:
         dev = traj.lock_state[list(vs)] - ss.x_inf[list(vs)]
         parts = dec.eigenvectors * np.linalg.solve(dec.eigenvectors, dev)
         weights = np.array([np.linalg.norm(parts[:, list(cl)].sum(axis=1)) for cl in dec.clusters])
-        rates = np.array([np.max(np.abs(dec.eigenvalues[list(cl)])) for cl in dec.clusters])
+        rates = np.maximum.reduceat(np.abs(dec.eigenvalues), [cl[0] for cl in dec.clusters])
         comp_tails.append((weights, rates))
 
     def tail(steps):
         return math.sqrt(sum(float(np.sum(w * r**steps)) ** 2 for w, r in comp_tails))
 
-    # The bound is non-increasing in the step count past lock: find the first
-    # step where it is below eps by doubling, then bisection.
-    if tail(1) >= eps:
-        lo, hi = 1, 2
-        while tail(hi) >= eps:
-            if hi >= 10_000_000:
-                raise RuntimeError("tail bound failed to reach eps within iteration cap")
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if tail(mid) >= eps else (lo, mid)
-        return k_lock + hi
+    def first_step(e):
+        # The bound is non-increasing in the step count past lock: find the
+        # first step where it is below eps by doubling, then bisection.
+        if tail(1) >= e:
+            lo, hi = 1, 2
+            while tail(hi) >= e:
+                if hi >= 10_000_000:
+                    raise RuntimeError("tail bound failed to reach eps within iteration cap")
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if tail(mid) >= e else (lo, mid)
+            return k_lock + hi
 
-    # The tail is within eps from one step past lock, so the answer is one
-    # past the last state up to lock that is not.
-    if np.linalg.norm(traj.lock_state - ss.x_inf) >= eps:
-        return k_lock + 1
-    if len(traj.states) < k_lock:
-        raise HistoryTruncated(
-            f"states {len(traj.states)}..{k_lock - 1} before the lock were not recorded"
-        )
-    bad = [k for k in range(k_lock) if np.linalg.norm(traj.states[k] - ss.x_inf) >= eps]
-    return bad[-1] + 1 if bad else 0
+        # The tail is within eps from one step past lock, so the answer is
+        # one past the last state up to lock that is not.
+        if np.linalg.norm(traj.lock_state - ss.x_inf) >= e:
+            return k_lock + 1
+        if len(traj.states) < k_lock:
+            raise HistoryTruncated(
+                f"states {len(traj.states)}..{k_lock - 1} before the lock were not recorded"
+            )
+        bad = [k for k in range(k_lock) if np.linalg.norm(traj.states[k] - ss.x_inf) >= e]
+        return bad[-1] + 1 if bad else 0
+
+    steps = [first_step(e) for e in eps_list]
+    return steps if isinstance(eps, list) else steps[0]
 
 
 def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> float:

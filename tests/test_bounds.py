@@ -65,6 +65,20 @@ class TestConstantInfluenceUpperBound:
             want = (Decimal(0.01) / (n * n)).ln() / (1 - Decimal(1) / (n * n * d)).ln()
         assert rep.extras["kappa_eps"] == pytest.approx(float(want), rel=1e-13)
 
+    @pytest.mark.parametrize("n, d", [(10**5, 5 * 10**4), (10**6, 10**6)])
+    def test_lambda2_gap_keeps_its_digits(self, n, d):
+        # 1 - 1/(n^2 d) keeps about 0.1% of the gap's digits at n^2 d = 5e14
+        # and none at 1e18, where it rounds to 1.0; the gap is one division
+        gap = float(Decimal(1) / (n * n * d))
+        for rep in (bounds.constant_influence_upper_bound(n, d, 0.01, 1.0), bounds.lambda2_diameter_bound(n, d)):
+            assert rep.extras["lambda2_gap"] == gap
+        upper = bounds.constant_influence_upper_bound(n, d, 0.01, 1.0).extras["lambda2_upper"]
+        value = bounds.lambda2_diameter_bound(n, d).value
+        assert upper == value == 1.0 - gap
+        assert 1.0 - value != gap
+        if n == d:
+            assert value == 1.0
+
     def test_eps_equal_cap_gives_zero(self):
         rep = bounds.constant_influence_upper_bound(3, 2, 9.0, 1.0)
         assert rep.extras["kappa_eps"] == pytest.approx(0.0, abs=1e-12)

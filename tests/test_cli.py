@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from socialhk import cli, slowmerge
+from socialhk import cli, dynamics, slowmerge
 
 
 def run(argv):
@@ -268,6 +268,26 @@ class TestOtherCommands:
         }))
         assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
         assert len(read(f"{tmp_path}/sweep.csv").splitlines()) == 3
+
+    def test_k_eps_goes_through_the_module_attribute(self, tmp_path, monkeypatch, capsys):
+        # the bench traces the CLI by wrapping dynamics.eps_convergence_time
+        # and calls a run without a recorded call wrong
+        calls = []
+        wrapped = dynamics.eps_convergence_time
+        monkeypatch.setattr(dynamics, "eps_convergence_time", lambda *a: calls.append(a) or wrapped(*a))
+        assert run(["--out", str(tmp_path / "sim"), "--seed", "3", "simulate", "--graph", "cycle:8",
+                    "--x0", "narrow-spread:center=0,width=0.5", "--max-steps", "100",
+                    "--eps", "1e-2", "1e-4"]) == 0
+        assert len(calls) >= 1 and calls[0][2] == [1e-2, 1e-4]
+        calls.clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": "cycle:8", "R": 1.0, "seeds": [3, 4],
+            "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.5},
+            "eps": [1e-2, 1e-4], "max_steps": 100,
+        }))
+        assert run(["--out", str(tmp_path / "sweep"), "sweep", "--config", str(cfg)]) == 0
+        assert len(calls) >= 1
 
     def test_sweep_empty_eps_list(self, tmp_path, capsys):
         # no k_eps columns, and the graph bounds use the default eps, as when

@@ -31,13 +31,15 @@ def star_with_tail():
     return g, x0
 
 
-def loop_simulate_array_equal(gph, state, max_steps):
-    """The float loop of ``dynamics.simulate`` (no stop rule, no history cap)
-    with the ``np.array_equal`` repeat test it had before the byte compare."""
+def loop_simulate_array_equal(gph, state, max_steps, stop_on=None, history_cap=dynamics.HISTORY_CAP):
+    """The float loop of ``dynamics.simulate`` as it was before the locked
+    stretch ran in blocks: one state at a time up to the budget, the
+    ``np.array_equal`` repeat test it had before the byte compare, and an
+    ``("eps", value)`` stop tested after every locked step."""
     x = np.array(state.opinions, dtype=float)
     traj = dynamics.Trajectory(gph=gph, confidence_bound=state.confidence_bound, states=[x.copy()],
                                epochs=[], events=[])
-    groups = None
+    groups = x_inf = None
     for k in range(max_steps + 1):
         if k:
             x_new = dynamics._average(x, *avg)
@@ -47,13 +49,26 @@ def loop_simulate_array_equal(gph, state, max_steps):
                 break
             x = x_new
             traj.n_steps = k
-            traj.states.append(x)
+            if len(traj.states) <= history_cap:
+                traj.states.append(x)
+            else:
+                traj.truncated = True
         if not traj.locked:
-            groups, _ = dynamics._observe(traj, k, x, state.confidence_bound, groups, None)
+            groups, stop = dynamics._observe(traj, k, x, state.confidence_bound, groups, stop_on)
             if traj.lock_k == k:
                 traj.lock_state = x.copy()
             if traj.epochs[-1].k_start == k:
                 avg = dynamics._averaging(gph, traj.epochs[-1].mask)
+            if stop:
+                break
+        if isinstance(stop_on, tuple) and traj.locked:
+            if x_inf is None:
+                x_inf = dynamics.steady_state(traj).x_inf
+            if np.linalg.norm(x - x_inf) < stop_on[1]:
+                break
+    else:
+        if stop_on is not None:
+            raise BudgetExhausted(max_steps, traj)
     return traj
 
 
@@ -537,6 +552,48 @@ class TestEngine:
             assert sub.termination_k == 1 and np.signbit(sub.states[1][:2]).all(), (g, x0)
         assert at_zero >= 10 and signed >= 10, (at_zero, signed)
 
+    def test_locked_blocks_match_one_step_loop(self):
+        # the locked stretch runs in blocks of dynamics._BLOCK rows: budgets
+        # end 1, 63, 64, 65 and 129 steps past the lock, or at it, and caps
+        # and eps stops fall on both sides of a block edge
+        rng = philox(139)
+        cases = [(random_connected_graph(rng, int(rng.integers(2, 10))), None) for _ in range(6)]
+        cases = [(g, rng.uniform(0, (0.8, 2.0)[i % 2], g.n)) for i, (g, _) in enumerate(cases)]
+        cases += [(graphs.cycle_graph(n), rng.uniform(0, 0.9, n)) for n in (5, 12)]
+        cases += [(path_graph(6), rng.uniform(0, 0.9, 6))]
+        cases += [(path_graph(4), np.array([-1.0, 0.0, 1.0, -(1.0 - d)])) for d in (0.25, 1 / 64)]
+        # vertex 1 and its whole neighbourhood at -0.0: bincount sums them to +0.0
+        cases += [(path_graph(5), np.array([-0.0, -0.0, -0.0, 0.25, 0.5]))]
+        seen = {"terminated": 0, "exhausted": 0, "eps": 0, "truncated": 0, "at_lock": 0}
+        for g, x0 in cases:
+            state = OpinionState(x0, 1.0)
+            lock_k = dynamics.simulate(g, state, 400).lock_k
+            assert lock_k is not None, (g, x0)
+            # distances of the steps around the block edges, nudged up so that
+            # the first step below them falls at or just before those steps
+            far = loop_simulate_array_equal(g, state, lock_k + 129)
+            x_inf = dynamics.steady_state(far).x_inf
+            dists = [np.linalg.norm(s - x_inf) for s in far.states[lock_k:]]
+            eps_values = {dists[j] * (1 + 1e-12) for j in (1, 63, 64, 65) if j < len(dists) and dists[j] > 0}
+            stops = [None, "termination", *(("eps", v) for v in sorted(eps_values))]
+            budgets = [lock_k + d for d in (0, 1, 63, 64, 65, 129) if lock_k + d >= 1]
+            for max_steps in budgets:
+                for history_cap in (1, 5, 64, 65, dynamics.HISTORY_CAP):
+                    for stop_on in stops:
+                        got, got_ex = run_exact(dynamics.simulate, g, state, max_steps, stop_on, history_cap)
+                        want, want_ex = run_exact(loop_simulate_array_equal, g, state, max_steps, stop_on,
+                                                  history_cap)
+                        assert (exact_fields(got), got.truncated, got_ex) == \
+                            (exact_fields(want), want.truncated, want_ex), (g, x0, max_steps, history_cap, stop_on)
+                        seen["terminated"] += got.termination_k is not None
+                        seen["exhausted"] += got_ex is not None
+                        seen["eps"] += isinstance(stop_on, tuple) and got_ex is None and got.termination_k is None
+                        seen["truncated"] += got.truncated
+                        seen["at_lock"] += max_steps == lock_k
+        signs = dynamics.simulate(path_graph(5), OpinionState([-0.0, -0.0, -0.0, 0.25, 0.5], 1.0), 3).states
+        assert np.signbit(signs[0][:3]).all() and not np.signbit(signs[1][:2]).any()
+        assert min(seen.values()) >= 20, seen
+
 
 class TestObserveShortcuts:
     """``_observe`` skips the full lock test where the span rules a lock out,
@@ -791,6 +848,35 @@ class TestEpsConvergence:
         ss = dynamics.steady_state(traj)
         with pytest.raises(EpsTooSmall):
             dynamics.eps_convergence_time(traj, ss, 0.0)
+
+    def test_list_form_matches_single_calls(self):
+        # a cycle (repeated eigenvalues) and a run locked into two components
+        # at step 0, whose tail sums over both
+        cyc = graphs.cycle_graph(12)
+        two = path_graph(6)
+        runs = [dynamics.simulate(cyc, OpinionState(philox(3).uniform(-0.4, 0.4, 12), 1.0), 300),
+                dynamics.simulate(two, OpinionState([0.0, 0.1, 0.2, 5.0, 5.1, 5.2], 1.0), 300)]
+        assert len(dynamics.steady_state(runs[1]).components) == 2
+        eps_list = [1e-2, 1e-4, 1e-8]
+        for traj in runs:
+            ss = dynamics.steady_state(traj)
+            singles = [dynamics.eps_convergence_time(traj, ss, e) for e in eps_list]
+            assert dynamics.eps_convergence_time(traj, ss, eps_list) == singles
+            assert dynamics.eps_convergence_time(traj, ss, []) == []
+            for bad in ([1e-2, 0.0], [-1.0, 1e-2]):
+                with pytest.raises(EpsTooSmall):
+                    dynamics.eps_convergence_time(traj, ss, bad)
+
+    def test_list_form_raises_history_truncated_alike(self):
+        # eps 1.0 is decided by pre-lock states that a cap of 3 dropped
+        state, _ = slowmerge.four_path_family(1 / 256)
+        capped = dynamics.simulate(path_graph(4), state, 40, history_cap=3)
+        ss = dynamics.steady_state(capped)
+        assert dynamics.eps_convergence_time(capped, ss, [1e-3, 1e-2]) == \
+            [dynamics.eps_convergence_time(capped, ss, e) for e in (1e-3, 1e-2)]
+        for eps in (1.0, [1.0], [1e-3, 1.0]):
+            with pytest.raises(HistoryTruncated):
+                dynamics.eps_convergence_time(capped, ss, eps)
 
     def test_tail_bound_is_safe(self):
         # k_eps reported from the analytic tail must be >= the first time the
