@@ -11,8 +11,10 @@ per-component opinion hulls and the stop rule, at step 0 and after every
 update until lock.  They differ only in the update and the termination test:
 
 * the float engine (``simulate``) runs IEEE doubles and is the default; a
-  state terminates when the update repeats it bitwise, and once locked it
-  steps in blocks of rows (``_locked_stretch``);
+  state terminates when the update repeats it bitwise.  Where its influence
+  graph is frozen, it steps in blocks of rows (``_step_rows``): from the lock
+  on (``_locked_stretch``), and before it once ``_QUIET`` steps have passed
+  without a link change (``_quiet_stretch``);
 * the exact engine (``simulate_exact``) runs integer arithmetic over a
   common denominator, so state equality and neighbor tests are decided in
   exact rational arithmetic; a state terminates when every live link joins
@@ -28,6 +30,8 @@ update until lock.  They differ only in the update and the termination test:
 A step whose links did not change costs ``_observe`` O(1) numpy calls: the
 mask is compared by its bytes, and ``_span_rules_out_lock`` rejects the lock
 test in O(n), before any sort, when c > 1 hulls span less than (c - 1) R.
+The lock test takes one state or a block of states, one per row, so the
+float engine's quiet blocks and ``_observe`` share it.
 
 Both engines read the arrays the physical ``Graph`` owns: an influence graph
 is a boolean mask of live links over its sorted non-loop edges, and the
@@ -54,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +82,8 @@ from .graphs import (
 
 HISTORY_CAP = 100_000
 _ENERGY_ROWS = 256  # recorded states per block of Trajectory.energies
-_BLOCK = 64  # locked float steps per block of _locked_stretch
+_BLOCK = 64  # float steps per block of a frozen influence graph (_step_rows)
+_QUIET = 8  # unlocked float steps without a link change before stepping in blocks
 EXACT_WINDOW = 60
 
 
@@ -115,7 +120,8 @@ class InfluenceGraph:
 
 
 def _live_mask(gph: Graph, x, limit) -> np.ndarray:
-    """Which non-loop edges join opinions at most ``limit`` apart."""
+    """Which non-loop edges join opinions at most ``limit`` apart: one entry
+    per edge, or given states as the columns of ``x``, one row per edge."""
     return np.abs(x[gph.src] - x[gph.dst]) <= limit
 
 
@@ -249,27 +255,45 @@ class Trajectory:
         return [e.k for e in self.events_of("merge")]
 
 
-def _lock_holds(lo, hi, bound) -> bool:
+def _lock_holds(lo, hi, bound):
     """Lock test on per-component opinion hulls ``[lo, hi]``: every hull is at
     most ``bound`` wide and every two hulls are more than ``bound`` apart.
+    The hulls run along the last axis, of one state or of each row of a
+    block of states; the answer is one bool or one per row.
 
-    Hulls that pass are disjoint, so sorted by ``lo`` each one's nearest
-    predecessor is the one just before it; and if two hulls are too close,
-    some consecutive pair is.  One pass over consecutive hulls decides it.
+    Hulls that pass are disjoint, so their ``lo`` and their ``hi`` sort in
+    the same order, and each hull's nearest predecessor is the one just
+    before it.  Conversely, if each sorted ``lo[i + 1]`` exceeds the sorted
+    ``hi[i]`` by more than ``bound``, the ``i + 1`` hulls of smallest ``hi``
+    are the ``i + 1`` of smallest ``lo`` for every ``i``, so both sorts give
+    one order and the hulls pass.  One pass over the two sorted ends decides
+    it.
     """
-    if (hi - lo > bound).any():
+    wide = (hi - lo > bound).any(axis=-1)
+    if lo.ndim == 1 and wide:  # one state with a hull too wide needs no sort
         return False
-    order = lo.argsort(kind="stable")
-    return bool((lo[order[1:]] - hi[order[:-1]] > bound).all())
+    lo, hi = lo.copy(), hi.copy()
+    lo.sort(axis=-1)
+    hi.sort(axis=-1)
+    return (lo[..., 1:] - hi[..., :-1] > bound).all(axis=-1) & ~wide
 
 
-def _span_rules_out_lock(z, c, bound) -> bool:
-    """Whether state ``z`` is too narrow for its ``c`` component hulls to pass
-    ``_lock_holds``: ``c`` hulls pairwise more than ``bound`` apart span more
-    than ``(c - 1) * bound``.  Sound bit for bit in floats, as rounding is
-    monotone: a rounded gap above ``bound`` is a real gap above it, so the real
-    span exceeds the real product and rounds to no less.  Exact on integers."""
-    return z.max() - z.min() < (c - 1) * bound
+def _span_rules_out_lock(z, c, bound):
+    """Whether state ``z``, or each row of a block of states, is too narrow
+    for its ``c`` component hulls to pass ``_lock_holds``: ``c`` hulls
+    pairwise more than ``bound`` apart span more than ``(c - 1) * bound``.
+    Sound bit for bit in floats, as rounding is monotone: a rounded gap
+    above ``bound`` is a real gap above it, so the real span exceeds the real
+    product and rounds to no less.  Exact on integers."""
+    return z.max(axis=-1) - z.min(axis=-1) < (c - 1) * bound
+
+
+def _hulls(z, groups) -> tuple:
+    """(lo, hi) of each component of ``groups`` (``label_groups``) in state
+    ``z``, or in each row of a block of states."""
+    order, starts = groups
+    zs = z.take(order, axis=-1)
+    return np.minimum.reduceat(zs, starts, axis=-1), np.maximum.reduceat(zs, starts, axis=-1)
 
 
 def _diff_events(k, gph: Graph, old, new, prev_labels, prev_groups):
@@ -334,13 +358,63 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
         labels = component_labels(gph.n, gph.src[mask], gph.dst[mask])
         traj.epochs.append(Epoch(k, mask, labels))
         groups = label_groups(labels)
-    order, starts = groups
-    if not _span_rules_out_lock(z, len(starts), limit):
-        zs = z[order]
-        if _lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
-            traj.lock_k = k
-            traj.events.append(Event(k, "lock"))
+    if not _span_rules_out_lock(z, len(groups[1]), limit) and _lock_holds(*_hulls(z, groups), limit):
+        traj.lock_k = k
+        traj.events.append(Event(k, "lock"))
     return groups, _check_stop(stop_on, traj.locked)
+
+
+def _step_rows(x, avg, n_rows) -> np.ndarray:
+    """``x`` and the ``n_rows`` updates after it under one influence graph, as
+    the rows of one array: each row is the ``_average`` of the row before,
+    bit for bit, with the degrees of ``avg`` as floats."""
+    t, s, deg = avg
+    rows = np.empty((n_rows + 1, len(x)))
+    rows[0] = x
+    for prev, row in zip(rows, rows[1:]):
+        np.divide(np.bincount(t, weights=prev[s]), deg, out=row)
+    return rows
+
+
+def _record(traj: Trajectory, rows, history_cap) -> None:
+    """Append the stepped states ``rows`` to ``traj.states`` up to
+    ``history_cap`` states past the initial one, and flag a run whose states
+    stop short as ``truncated``."""
+    room = max(history_cap + 1 - len(traj.states), 0)
+    traj.states.extend(rows[:room])
+    traj.truncated |= len(rows) > room
+
+
+def _quiet_stretch(traj: Trajectory, k, x, avg, groups, max_steps, history_cap) -> tuple:
+    """Step an unlocked float run from step ``k``, state ``x``, whose links
+    have not changed since its epoch opened ``_QUIET`` or more steps before,
+    in blocks of rows of its averaging ``avg``.
+
+    A block is never longer than the quiet stretch before it, nor than
+    ``_BLOCK`` rows or the budget.  One pass over the block finds its first
+    row that repeats the row before it, changes a link or passes the lock
+    test on ``groups`` (the span bound first); the rows before it are steps
+    with nothing to observe, and are recorded.  Returns the last such step,
+    its state and the row after it, which the caller steps as any other, or
+    None in its place once the budget is used up."""
+    gph, limit = traj.gph, traj.confidence_bound
+    k_start, mask, _ = traj.epochs[-1]
+    while k < max_steps:
+        rows = _step_rows(x, avg, min(k - k_start, _BLOCK, max_steps - k))
+        new = rows[1:]
+        event = (new == rows[:-1]).all(axis=1) | (_live_mask(gph, new.T, limit) != mask[:, None]).any(axis=0)
+        quiet = int(event.argmax()) if event.any() else len(new)
+        tested = np.flatnonzero(~_span_rules_out_lock(new[:quiet], len(groups[1]), limit))
+        if len(tested):
+            locks = tested[_lock_holds(*_hulls(new[tested], groups), limit)]
+            quiet = int(locks[0]) if len(locks) else quiet
+        _record(traj, new[:quiet], history_cap)
+        k += quiet
+        traj.n_steps = k
+        if quiet < len(new):
+            return k, rows[quiet], new[quiet]
+        x = rows[-1]
+    return k, x, None
 
 
 def _locked_stretch(traj: Trajectory, x, avg, max_steps, stop_on, history_cap) -> bool:
@@ -349,12 +423,10 @@ def _locked_stretch(traj: Trajectory, x, avg, max_steps, stop_on, history_cap) -
     stop ended it.
 
     The graph is frozen, so nothing is observed: steps run in blocks of
-    ``_BLOCK`` rows of one array, each row the update ``_average`` makes of the
-    row before, and one comparison per block finds the first repeat.  ``==``
-    counts -0.0 equal to 0.0 and, on states without NaN, is the byte test on
-    ``x + 0.0``.  Rows stepped past a repeat or a stop are dropped; ``states``
-    keeps views of the rows it records."""
-    t, s, deg = avg[0], avg[1], avg[2].astype(float)  # a float divisor saves a cast per row
+    ``_BLOCK`` rows (``_step_rows``), and one comparison per block finds the
+    first repeat.  ``==`` counts -0.0 equal to 0.0 and, on states without
+    NaN, is the byte test on ``x + 0.0``.  Rows stepped past a repeat or a
+    stop are dropped; ``states`` keeps views of the rows it records."""
     eps = stop_on[1] if isinstance(stop_on, tuple) else None
     if eps is not None:
         x_inf = steady_state(traj).x_inf
@@ -362,19 +434,14 @@ def _locked_stretch(traj: Trajectory, x, avg, max_steps, stop_on, history_cap) -
             return True
     k = traj.lock_k
     while k < max_steps:
-        rows = np.empty((min(_BLOCK, max_steps - k) + 1, len(x)))
-        rows[0] = x
-        for prev, row in zip(rows, rows[1:]):
-            np.divide(np.bincount(t, weights=prev[s]), deg, out=row)
+        rows = _step_rows(x, avg, min(_BLOCK, max_steps - k))
         same = (rows[1:] == rows[:-1]).all(axis=1)
         end = int(same.argmax()) if same.any() else len(same)  # rows 1..end are new states
         hit = None
         if eps is not None:
             hit = next((i for i in range(1, end + 1) if np.linalg.norm(rows[i] - x_inf) < eps), None)
         last = end if hit is None else hit
-        room = max(history_cap + 1 - len(traj.states), 0)
-        traj.states.extend(rows[1:1 + min(last, room)])
-        traj.truncated |= last > room
+        _record(traj, rows[1:1 + last], history_cap)
         k += last
         traj.n_steps = k
         if hit is not None:
@@ -403,13 +470,17 @@ def simulate(
     since nothing can change afterwards.
 
     Links, events, epochs, the lock and the stop rule come from ``_observe``,
-    as in ``simulate_exact``, at every step up to the lock; this loop adds the
-    float update, the bitwise termination test and ``history_cap``.  From the
-    lock on ``_locked_stretch`` steps the frozen update in blocks of rows and
-    decides ``("eps", value)`` stops; the states it records are bitwise those
-    of one-step-at-a-time stepping.  Energies are derived from the recorded
-    states by ``Trajectory.energies``.
+    as in ``simulate_exact``, at every step up to the lock where they can
+    change; this loop adds the float update, the bitwise termination test and
+    ``history_cap``.  Once ``_QUIET`` steps pass without a link change,
+    ``_quiet_stretch`` steps the epoch's update in blocks of rows and hands
+    back the first row that repeats, changes a link or locks.  From the lock
+    on ``_locked_stretch`` steps the frozen update in blocks and decides
+    ``("eps", value)`` stops.  Either way the recorded states are bitwise
+    those of one-step-at-a-time stepping.  Energies are derived from the
+    recorded states by ``Trajectory.energies``.
     """
+    max_steps = index(max_steps)  # as range() would: 10.5 steps is a TypeError
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if state.n != gph.n:
@@ -418,37 +489,45 @@ def simulate(
     x = np.array(state.opinions, dtype=float)
 
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[])
-    groups = None
-    # A repeat is tested on the bytes of the state, which is np.array_equal
-    # as long as no entry is -0.0 or NaN.  An update can give -0.0 (a
-    # subnormal negative sum divided by the degree rounds to it), so both
-    # sides are compared as x + 0.0, which turns -0.0 into +0.0; the states
-    # kept keep their own bits.  A live link never joins +inf and -inf (their
-    # gap is not <= bound), so no sum gives NaN.
+    groups = x_new = None
+    # A repeat is tested on the bytes of x + 0.0, which is the == of the
+    # blocks and np.array_equal: an update can give -0.0 (a subnormal
+    # negative sum divided by the degree rounds to it), and + 0.0 turns it
+    # into +0.0, while the states kept keep their own bits.  A live link
+    # never joins +inf and -inf (their gap is not <= bound), so no sum gives
+    # NaN.
     x_bytes = (x + 0.0).tobytes()
-    for k in range(max_steps + 1):
-        if k:
-            x_new = _average(x, *avg)
-            new_bytes = (x_new + 0.0).tobytes()
-            if new_bytes == x_bytes:
-                traj.termination_k = k - 1
-                traj.events.append(Event(k - 1, "termination"))
-                stop = True
-                break
-            x, x_bytes = x_new, new_bytes
-            traj.n_steps = k
-            if len(traj.states) <= history_cap:
-                traj.states.append(x)
-            else:
-                traj.truncated = True
-
+    k = 0
+    while True:
         groups, stop = _observe(traj, k, x, bound, groups, stop_on)
-        if traj.epochs[-1].k_start == k:
-            avg = _averaging(gph, traj.epochs[-1].mask)
+        k_start, mask, _ = traj.epochs[-1]
+        if k_start == k:
+            t, s, deg = _averaging(gph, mask)
+            avg = t, s, deg.astype(float)  # a float divisor saves a cast per step
         if traj.locked:  # a locked graph is frozen: nothing more to observe
             traj.lock_state = x.copy()
             stop = stop or _locked_stretch(traj, x, avg, max_steps, stop_on, history_cap)
             break
+        if k - k_start >= _QUIET:
+            k, x, x_new = _quiet_stretch(traj, k, x, avg, groups, max_steps, history_cap)
+            x_bytes = (x + 0.0).tobytes()
+        if k == max_steps:
+            break
+        k += 1
+        if x_new is None:
+            x_new = _average(x, *avg)
+        new_bytes = (x_new + 0.0).tobytes()
+        if new_bytes == x_bytes:
+            traj.termination_k = k - 1
+            traj.events.append(Event(k - 1, "termination"))
+            stop = True
+            break
+        x, x_bytes, x_new = x_new, new_bytes, None
+        traj.n_steps = k
+        if len(traj.states) <= history_cap:  # as _record does for a block
+            traj.states.append(x)
+        else:
+            traj.truncated = True
     if not stop and stop_on is not None:
         raise BudgetExhausted(max_steps, traj)
     return traj
@@ -581,6 +660,7 @@ def simulate_exact(
     lost more than 2.5 ms to the faster way (1/4 lost up to 73 ms, 1 up to
     207 ms).
     """
+    max_steps = index(max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if isinstance(stop_on, tuple):

@@ -370,6 +370,14 @@ class TestSimulateEvents:
         assert len(traj.energies) == len(traj.states)
         assert traj.merge_times() == [2]
 
+    def test_max_steps_is_an_integer(self):
+        # a step count of 10.5 is a TypeError, as range(10.5) made it when the
+        # loop ran over a range; integer types other than int are accepted
+        s = OpinionState([-1.0, 0.0, 1.0, -0.75], 1.0)
+        with pytest.raises(TypeError):
+            dynamics.simulate(path_graph(4), s, 10.5)
+        assert dynamics.simulate(path_graph(4), s, np.int64(3)).n_steps == 3
+
     def test_stop_on_lock(self):
         s = OpinionState([-1.0, 0.0, 1.0, -0.75], 1.0)
         traj = dynamics.simulate(path_graph(4), s, 100, stop_on="lock")
@@ -594,10 +602,81 @@ class TestEngine:
         assert np.signbit(signs[0][:3]).all() and not np.signbit(signs[1][:2]).any()
         assert min(seen.values()) >= 20, seen
 
+    def test_unlocked_blocks_match_one_step_loop(self, monkeypatch):
+        # once an epoch has been quiet for dynamics._QUIET steps, its rows are
+        # stepped in blocks of 8, 16, 32 and then 64 rows, and a block hands
+        # its first repeat, link change or lock back to the one-step loop
+        assert (dynamics._QUIET, dynamics._BLOCK) == (8, 64)
+        # a 16-vertex path spread over [0, 3] and a pendant vertex 16 on its
+        # top end: the top opinion falls step by step, so the pendant link
+        # forms at the first step T where it is within R of the pendant.
+        # Blocks start at steps 8, 16, 32, 64 and 128, so T is the 1st, 7th
+        # or last row of the first block, the 1st or 9th of the second and
+        # the third, the last of the third, the 1st, 7th to 9th, 63rd or last
+        # of the fourth, or the 1st of the fifth.  From T = 65 on the path
+        # locks as the link forms.
+        path = graphs.Graph(17, frozenset({(i, i + 1) for i in range(16)}))
+        far = np.append(np.linspace(0.0, 3.0, 16), 8.0)  # the pendant never links
+        top = [x[15] for x in dynamics.simulate(path, OpinionState(far, 1.0), 130).states]
+        # narrower paths lock with no link change at step 37 or 53, inside
+        # the third block, and this one at step 66, inside the fourth
+        cases = [(path, np.append(np.linspace(0.0, w, 16), 8.0), 80) for w in (2.0, 2.5)] + [(path, far, 80)]
+        for t in (9, 15, 16, 17, 25, 33, 41, 63, 64, 65, 71, 72, 73, 127, 128, 129):
+            x0 = far.copy()
+            x0[16] = (top[t - 1] + top[t]) / 2 - 1.0
+            assert [e.k_start for e in loop_simulate_array_equal(path, OpinionState(x0, 1.0), t).epochs] == [0, t]
+            cases.append((path, x0, t + 2))
+        # frozen unlocked epochs, some hundreds of steps long
+        for seed in (7, 8):
+            box = sampling.sample_initial_state(64, 1.0, "uniform_box", seed, lo=0, hi=3)
+            cases.append((graphs.cycle_graph(64), box.opinions, 400))
+        # path:7 cut at vertex 3 repeats at step 52 without a lock, also with
+        # vertex 1 and its neighbourhood at -0.0
+        cut = graphs.Graph(7, frozenset({(i, i + 1) for i in range(6)}))
+        cases.append((cut, np.array([0, 0.1, 0.2, 5, 0.5, 0.6, 0.7]), 60))
+        cases.append((cut, np.array([-0.0, -0.0, -0.0, 5, 0.5, 0.6, 0.7]), 60))
+        # the four-path merges and locks at step 20, inside the second block
+        cases.append((path_graph(4), np.array([-1.0, 0.0, 1.0, -(1.0 - 2.0**-20)]), 160))
+
+        caught = []  # (trajectory, the step of an event row a block handed back)
+        quiet_stretch = dynamics._quiet_stretch
+
+        def spy(traj, *args):
+            out = quiet_stretch(traj, *args)
+            if out[2] is not None:
+                caught.append((traj, out[0] + 1))
+            return out
+
+        monkeypatch.setattr(dynamics, "_quiet_stretch", spy)
+        stops = [None, "lock", "termination", ("eps", 1e-6)]
+        for g, x0, max_steps in cases:
+            state = OpinionState(x0, 1.0)
+            # budgets cut the last block short, or end at its event row
+            runs = [(m, cap, None) for m, cap in zip(range(max_steps - 3, max_steps), (5, 65, dynamics.HISTORY_CAP))]
+            runs += [(max_steps, cap, stop_on) for cap, stop_on in zip((1, 5, 64, 65), stops)]
+            runs += [(max_steps, dynamics.HISTORY_CAP, stop_on) for stop_on in stops]
+            for m, history_cap, stop_on in runs:
+                got, got_ex = run_exact(dynamics.simulate, g, state, m, stop_on, history_cap)
+                want, want_ex = run_exact(loop_simulate_array_equal, g, state, m, stop_on, history_cap)
+                assert (exact_fields(got), got.truncated, got_ex) == \
+                    (exact_fields(want), want.truncated, want_ex), (g, x0, m, history_cap, stop_on)
+        kinds = {"repeat": 0, "link": 0, "lock": 0}
+        for traj, k in caught:
+            if traj.termination_k == k - 1:
+                kinds["repeat"] += 1
+            elif traj._epoch_at(k).k_start == k:
+                kinds["link"] += 1
+            else:
+                assert traj.lock_k == k, k
+                kinds["lock"] += 1
+        assert kinds["repeat"] >= 20 and kinds["link"] >= 200 and kinds["lock"] >= 30, kinds
+
 
 class TestObserveShortcuts:
     """``_observe`` skips the full lock test where the span rules a lock out,
-    compares link masks by their bytes and builds merges from the groups."""
+    compares link masks by their bytes and builds merges from the groups.
+    The float engine's quiet blocks test a block of states per call, so the
+    wrappers below count the states tested, not the calls."""
 
     def test_matches_the_reference_observe(self, monkeypatch):
         rng = philox(137)
@@ -620,10 +699,16 @@ class TestObserveShortcuts:
                 out.append(exact_fields(dynamics.simulate_exact(g, x0, 1.0, 120)))
             return out
 
-        monkeypatch.setattr(dynamics, "_span_rules_out_lock",
-                            lambda z, c, bound: rejected.append(span_bound(z, c, bound)) or rejected[-1])
+        def count_states(z, c, bound):
+            verdicts = span_bound(z, c, bound)
+            rejected.extend(np.ravel(verdicts).tolist())
+            return verdicts
+
+        monkeypatch.setattr(dynamics, "_span_rules_out_lock", count_states)
         got = runs()
+        # the reference observes every step: no quiet blocks
         monkeypatch.setattr(dynamics, "_observe", reference_observe)
+        monkeypatch.setattr(dynamics, "_QUIET", 10**9)
         want = runs()
         for idx, (g, w) in enumerate(zip(got, want)):
             assert g == w, (idx, cases[idx // 2])
@@ -634,10 +719,15 @@ class TestObserveShortcuts:
         assert sum(rejected) >= 1000 and rejected.count(False) >= 1000
 
     def test_full_test_never_runs_where_the_span_rules_a_lock_out(self, monkeypatch):
-        calls = []
+        calls = []  # (components, span) of each state tested
         full = dynamics._lock_holds
-        monkeypatch.setattr(dynamics, "_lock_holds",
-                            lambda lo, hi, bound: calls.append((len(lo), hi.max() - lo.min())) or full(lo, hi, bound))
+
+        def count_states(lo, hi, bound):
+            lows, highs = np.min(lo, axis=-1).flat, np.max(hi, axis=-1).flat
+            calls.extend((lo.shape[-1], top - bottom) for bottom, top in zip(lows, highs))
+            return full(lo, hi, bound)
+
+        monkeypatch.setattr(dynamics, "_lock_holds", count_states)
         box = sampling.sample_initial_state(64, 1.0, "uniform_box", 7, lo=0, hi=3)
         # path:7 whose vertex 3 is cut off: three components spanning 5 > 2 R
         cut = graphs.Graph(7, frozenset({(i, i + 1) for i in range(6)}))
@@ -1039,6 +1129,11 @@ class TestInvariantProperties:
 
 
 class TestExactEngine:
+    def test_max_steps_is_an_integer(self):
+        with pytest.raises(TypeError):
+            dynamics.simulate_exact(path_graph(4), [-1, 0, 1, -0.75], 1.0, 10.5)
+        assert dynamics.simulate_exact(path_graph(4), [-1, 0, 1, -0.75], 1.0, np.int64(3)).n_steps == 3
+
     def test_matches_float_on_eventful_run(self):
         s = [-1.0, 0.0, 1.0, -0.75]
         tf = dynamics.simulate(path_graph(4), OpinionState(s, 1.0), 30)
