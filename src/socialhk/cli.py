@@ -153,26 +153,25 @@ def _split(g, vp, vq) -> slowmerge.SplitSpec:
         raise UsageError(f"bad split: {exc}") from None
 
 
-_TABLE_ROWS = 256  # table rows per repr() call in _float_table
-
-
 def _float_table(header, rows, fmt: str):
     """The text of a table of float rows, numbered k = 0, 1, ..., in chunks.
 
-    Every value is written as its ``repr``.  Each block of at most
-    ``_TABLE_ROWS`` rows is formatted by one ``repr`` of its nested list,
-    which holds each float's ``repr``, and cut into rows.  The CSV is what
-    ``csv.writer`` writes for these cells (none needs quoting, rows end in
-    ``\\r\\n``); the JSON is the list of ``{"k": k, name: "repr", ...}``
-    objects that ``json.dumps(..., indent=1)`` writes, each block dumped
-    on its own and stripped of its list brackets.
+    Every value is written as its ``repr``.  The rows go in the blocks of
+    ``dynamics._row_blocks`` for the table's width (at most
+    ``dynamics._CELLS`` cells, or one row), so the writer's temporaries do
+    not grow with the table; each block is formatted by one ``repr`` of its
+    nested list, which holds each float's ``repr``, and cut into rows.  The
+    CSV is what ``csv.writer`` writes for these cells (none needs quoting,
+    rows end in ``\\r\\n``); the JSON is the list of
+    ``{"k": k, name: "repr", ...}`` objects that ``json.dumps(..., indent=1)``
+    writes, each block dumped on its own and stripped of its list brackets.
     """
     if fmt == "json":
         yield "[\n"
     else:
         yield ",".join(header) + "\r\n"
-    for a in range(0, len(rows), _TABLE_ROWS):
-        text = repr(np.array(rows[a:a + _TABLE_ROWS]).tolist())
+    for a, b in dynamics._row_blocks(0, len(rows), len(header) - 1):
+        text = repr(np.array(rows[a:b]).tolist())
         cells = text[2:-2].replace(", ", ",").split("],[")
         if fmt == "json":
             objs = [{"k": k, **dict(zip(header[1:], c.split(",")))} for k, c in enumerate(cells, a)]
@@ -190,7 +189,7 @@ def _write_trajectory(traj: dynamics.Trajectory, out: str, fmt: str) -> dict:
     _atomic_write(paths["trajectory"], _float_table(header, traj.states, fmt))
 
     paths["events"] = os.path.join(out, "events.jsonl")
-    _atomic_write(paths["events"], [json.dumps(e.to_payload(one_based=True)) + "\n" for e in traj.events])
+    _atomic_write(paths["events"], (json.dumps(e.to_payload(one_based=True)) + "\n" for e in traj.events))
 
     if not traj.is_exact:
         paths["energy"] = os.path.join(out, f"energy.{ext}")
@@ -213,10 +212,7 @@ def _summary(traj: dynamics.Trajectory, eps_list) -> dict:
         ss = dynamics.steady_state(traj)
         out["steady_values"] = list(ss.values)
         out["k_eps"] = dict(zip(map(repr, eps_list), dynamics.eps_convergence_time(traj, ss, list(eps_list))))
-        if not traj.is_exact:
-            g, mask = traj.gph, traj.epochs[-1].mask  # a float run opens no epoch after its lock
-            energy = dynamics._energy(g.n, g.src[mask], g.dst[mask], traj.lock_state, traj.confidence_bound)
-            out["energy_at_lock"] = float(energy[0])
+        out["energy_at_lock"] = traj.energy_at_lock
     return out
 
 

@@ -81,7 +81,7 @@ from .graphs import (
 )
 
 HISTORY_CAP = 100_000
-_ENERGY_ROWS = 256  # recorded states per block of Trajectory.energies
+_CELLS = 4096  # float cells per block of output or energy rows (_row_blocks)
 _BLOCK = 64  # float steps per block of a frozen influence graph (_step_rows)
 _QUIET = 8  # unlocked float steps without a link change before stepping in blocks
 EXACT_WINDOW = 60
@@ -223,18 +223,32 @@ class Trajectory:
 
     @property
     def energies(self) -> list | None:
-        """(E, E_act) per recorded state under its epoch's mask; None for exact runs."""
+        """(E, E_act) per recorded state under its epoch's mask; None for exact runs.
+
+        Each epoch is evaluated in the blocks of ``_row_blocks`` of width
+        max(n, live links), as a block's copy of its states has rows × n cells
+        and its gathered gaps rows × live links."""
         if self.is_exact:
             return None
         gph, n_rec, out = self.gph, len(self.states), []
         ends = [e.k_start for e in self.epochs[1:]] + [n_rec]
         for (k0, mask, _), k1 in zip(self.epochs, ends):
-            src, dst, k1 = gph.src[mask], gph.dst[mask], min(k1, n_rec)
-            for a in range(k0, k1, _ENERGY_ROWS):
-                rows = np.array(self.states[a:min(a + _ENERGY_ROWS, k1)])
-                e, act = _energy(gph.n, src, dst, rows, self.confidence_bound)
+            src, dst = gph.src[mask], gph.dst[mask]
+            for a, b in _row_blocks(k0, min(k1, n_rec), max(gph.n, len(src))):
+                e, act = _energy(gph.n, src, dst, np.array(self.states[a:b]), self.confidence_bound)
                 out.extend(zip(e.tolist(), act.tolist()))
         return out
+
+    @property
+    def energy_at_lock(self) -> float | None:
+        """Total energy E of ``lock_state`` under the last epoch's mask (a float
+        run opens no epoch after its lock): ``energies[lock_k][0]`` bit for
+        bit, also when ``history_cap`` has dropped that state.  None for exact
+        or unlocked runs."""
+        if self.is_exact or self.lock_state is None:
+            return None
+        gph, mask = self.gph, self.epochs[-1].mask
+        return float(_energy(gph.n, gph.src[mask], gph.dst[mask], self.lock_state, self.confidence_bound)[0])
 
     def _epoch_at(self, k: int) -> Epoch:
         if not 0 <= k <= self.n_steps:
@@ -315,6 +329,16 @@ def _diff_events(k, gph: Graph, old, new, prev_labels, prev_groups):
             merged[key] = Event(k, "merge", i, j, a, b)
     events.extend(merged[key] for key in sorted(merged))
     return events
+
+
+def _row_blocks(start, stop, width):
+    """Consecutive blocks ``(a, b)`` of rows ``start`` to ``stop``, each of
+    at most ``_CELLS`` cells of ``width`` and at least one row: the float
+    writers and ``Trajectory.energies`` build their temporaries a block at a
+    time, so these stay bounded however many rows a run records."""
+    size = max(1, _CELLS // width)
+    for a in range(start, stop, size):
+        yield a, min(a + size, stop)
 
 
 def _energy(n, src, dst, x, bound):

@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from socialhk import cli, dynamics, slowmerge
+from socialhk import cli, dynamics, graphs, sampling, slowmerge
 
 
 def run(argv):
@@ -125,18 +126,22 @@ class TestTableWriter:
         "long": (["--graph", "cycle:12", "--x0", "uniform-box:lo=0,hi=2", "--max-steps", "600"], 0),
         "partial": (["--graph", "path:4", "--x0", "four-path:delta=0.25", "--stop-on", "termination",
                      "--max-steps", "5"], 3),
+        # a row wider than the default cell budget: one row per block
+        "wide": (["--graph", f"path:{dynamics._CELLS + 1}", "--x0", "uniform-box:lo=0,hi=3",
+                  "--max-steps", "2"], 0),
     }
-    ROWS = {"special-values": 2, "n=1": 1, "one-state": 1, "long": 601, "partial": 6}
+    ROWS = {"special-values": 2, "n=1": 1, "one-state": 1, "long": 601, "partial": 6, "wide": 3}
 
-    @pytest.mark.parametrize("block", [None, 3])
+    # a budget of 3 cells gives blocks of 3 rows at width 1 and of 1 row at width 2 or more
+    @pytest.mark.parametrize("cells", [None, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_reference_writer(self, case, fmt, block, tmp_path, monkeypatch, capsys):
+    def test_matches_reference_writer(self, case, fmt, cells, tmp_path, monkeypatch, capsys):
         argv, want_code = self.CASES[case]
         (tmp_path / "n1.json").write_text('{"n": 1, "edges": []}')
         monkeypatch.chdir(tmp_path)
-        if block is not None:
-            monkeypatch.setattr(cli, "_TABLE_ROWS", block)
+        if cells is not None:
+            monkeypatch.setattr(dynamics, "_CELLS", cells)
         write = cli._write_trajectory
         rows = []
 
@@ -150,6 +155,25 @@ class TestTableWriter:
         assert rows == [self.ROWS[case]]
         for name in (f"trajectory.{fmt}", f"energy.{fmt}"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_rows(self, fmt):
+        # the writer's temporaries are one block of at most _CELLS cells,
+        # from 30 rows of a cycle:1024 run to 300
+        g = graphs.standard_graph("cycle", 1024)
+        traj = dynamics.simulate(g, sampling.sample_initial_state(g.n, 1.0, "uniform_box", 3, lo=0, hi=3), 300)
+        assert len(traj.states) == 301
+        header = ["k"] + [f"x_{i+1}" for i in range(g.n)]
+        peaks = []
+        for rows in (traj.states[:30], traj.states):
+            tracemalloc.start()
+            try:
+                for _ in cli._float_table(header, rows, fmt):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0] and peaks[1] < 1024 * dynamics._CELLS, peaks
 
 
 class TestParserReuse:
@@ -288,6 +312,21 @@ class TestOtherCommands:
         }))
         assert run(["--out", str(tmp_path / "sweep"), "sweep", "--config", str(cfg)]) == 0
         assert len(calls) >= 1
+
+    def test_sweep_evaluates_one_energy_per_locked_row(self, tmp_path, monkeypatch, capsys):
+        # energy_at_lock takes the lock state alone, not the energy series
+        calls = []
+        wrapped = dynamics._energy
+        monkeypatch.setattr(dynamics, "_energy", lambda *a: calls.append(a) or wrapped(*a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": "cycle:8", "R": 1.0, "seeds": [3, 4, 5],
+            "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.5}, "max_steps": 100,
+        }))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        assert [r["lock_k"] for r in rows] == ["0"] * 3
+        assert [float(r["energy_at_lock"]) for r in rows] == [float(wrapped(*c)[0]) for c in calls]
 
     def test_sweep_empty_eps_list(self, tmp_path, capsys):
         # no k_eps columns, and the graph bounds use the default eps, as when

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
@@ -785,12 +786,13 @@ class TestEnergy:
 
 class TestEnergySeries:
     def test_matches_one_state_at_a_time(self, monkeypatch):
-        # Blocks of 3 rows split epochs across blocks and blocks across epoch
-        # ends; each state must get the bits it gets on its own, under the
-        # mask of its own epoch.
-        monkeypatch.setattr(dynamics, "_ENERGY_ROWS", 3)
+        # A budget of 18 cells gives blocks of 1-3 rows at widths 6-12 (and of
+        # one row where live links outnumber the cells), which split epochs
+        # across blocks and blocks across epoch ends; each state must get the
+        # bits it gets on its own, under the mask of its own epoch.
+        monkeypatch.setattr(dynamics, "_CELLS", 18)
         rng = philox(907)
-        multi_epoch = wide = capped = 0
+        multi_epoch = wide = capped = over = 0
         for i in range(120):
             g = random_connected_graph(rng, int(rng.integers(6, 13)), 0.5)
             x0 = rng.uniform(0.0, 0.8 if i % 2 else 2.5, g.n)
@@ -803,9 +805,52 @@ class TestEnergySeries:
             hexed = [tuple(float(v).hex() for v in pair) for pair in want]
             assert [tuple(v.hex() for v in pair) for pair in traj.energies] == hexed, (i, g, x0)
             multi_epoch += len(traj.epochs) > 1
-            wide += max(int(e.mask.sum()) for e in traj.epochs) >= 8
+            links = max(int(e.mask.sum()) for e in traj.epochs)
+            wide += links >= 8
+            over += links > 18
             capped += traj.truncated
-        assert multi_epoch >= 20 and wide >= 60 and capped >= 20, (multi_epoch, wide, capped)
+        assert multi_epoch >= 20 and wide >= 60 and capped >= 20 and over >= 30, (multi_epoch, wide, capped, over)
+
+    def test_memory_does_not_grow_with_rows(self):
+        # blocks of at most _CELLS cells of width max(n, live links): the
+        # temporaries stay the same from 30 to 300 rows, and only the list of
+        # (E, E_act) pairs grows with the run
+        g = graphs.standard_graph("cycle", 1024)
+        x0 = OpinionState(philox(5).uniform(0.0, 0.6, g.n), 1.0)
+        peaks = []
+        for steps in (30, 300):
+            traj = dynamics.simulate(g, x0, steps)
+            assert traj.lock_k == 0 and len(traj.states) == steps + 1
+            tracemalloc.start()
+            try:
+                traj.energies
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0] and peaks[1] < 64 * dynamics._CELLS, peaks
+
+    def test_energy_at_lock(self):
+        # the lock state's total energy, bit for bit that of the series,
+        # also when history_cap has dropped the lock state
+        rng = philox(911)
+        locked = dropped = 0
+        for i in range(60):
+            g = random_connected_graph(rng, int(rng.integers(4, 11)), 0.4)
+            x0 = OpinionState(rng.uniform(0.0, 0.8 if i % 2 else 2.5, g.n), 1.0)
+            traj = dynamics.simulate(g, x0, 200)
+            if not traj.locked:
+                assert traj.energy_at_lock is None
+                continue
+            want = traj.energies[traj.lock_k][0]
+            assert traj.energy_at_lock.hex() == want.hex(), (i, g, x0)
+            locked += 1
+            if traj.lock_k > 0:
+                capped = dynamics.simulate(g, x0, 200, history_cap=traj.lock_k - 1)
+                assert len(capped.states) == traj.lock_k and capped.lock_k == traj.lock_k
+                assert capped.energy_at_lock.hex() == want.hex(), (i, g, x0)
+                dropped += 1
+        assert locked >= 45 and dropped >= 15 and locked < 60, (locked, dropped)
+        assert dynamics.simulate_exact(path_graph(3), [0.0, 0.5, 1.0], 1.0, 10).energy_at_lock is None
 
     def test_exact_runs_have_none(self):
         traj = dynamics.simulate_exact(path_graph(3), [0.0, 0.5, 1.0], 1.0, 10)
