@@ -153,26 +153,50 @@ def _split(g, vp, vq) -> slowmerge.SplitSpec:
         raise UsageError(f"bad split: {exc}") from None
 
 
+def _block_rows(block) -> list:
+    """The rows of a 2-D float ``block`` as text: each value its ``repr``,
+    the values of a row joined by commas.
+
+    HK states repeat (agents with one closed neighbourhood agree bit for
+    bit), so each distinct 64-bit pattern (``-0.0`` and ``0.0`` are two) is
+    formatted once, in one ``repr`` of their list, and every cell takes the
+    text of its pattern.  A block without a repeat is formatted by one
+    ``repr`` of its nested list, which holds no string per cell."""
+    bits = block.view(np.int64).ravel()
+    # stable, as in graphs.label_groups: numpy's other sorts load code that
+    # no run otherwise touches, which shows in the peak RSS
+    order = bits.argsort(kind="stable")
+    bits = bits[order]
+    first = np.empty(bits.size, bool)
+    first[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if first.all():
+        return repr(block.tolist())[2:-2].replace(", ", ",").split("],[")
+    texts = np.array(repr(block.ravel()[order[first]].tolist())[1:-1].split(", "), dtype=object)
+    ids = np.empty(bits.size, np.intp)
+    ids[order] = first.cumsum() - 1
+    return [",".join(row) for row in texts[ids].reshape(block.shape).tolist()]
+
+
 def _float_table(header, rows, fmt: str):
     """The text of a table of float rows, numbered k = 0, 1, ..., in chunks.
 
     Every value is written as its ``repr``.  The rows go in the blocks of
     ``dynamics._row_blocks`` for the table's width (at most
     ``dynamics._CELLS`` cells, or one row), so the writer's temporaries do
-    not grow with the table; each block is formatted by one ``repr`` of its
-    nested list, which holds each float's ``repr``, and cut into rows.  The
-    CSV is what ``csv.writer`` writes for these cells (none needs quoting,
-    rows end in ``\\r\\n``); the JSON is the list of
-    ``{"k": k, name: "repr", ...}`` objects that ``json.dumps(..., indent=1)``
-    writes, each block dumped on its own and stripped of its list brackets.
+    not grow with the table; ``_block_rows`` formats each block with one
+    ``repr`` per distinct value.  The CSV is what ``csv.writer`` writes for
+    these cells (none needs quoting, rows end in ``\\r\\n``); the JSON is
+    the list of ``{"k": k, name: "repr", ...}`` objects that
+    ``json.dumps(..., indent=1)`` writes, each block dumped on its own and
+    stripped of its list brackets.
     """
     if fmt == "json":
         yield "[\n"
     else:
         yield ",".join(header) + "\r\n"
     for a, b in dynamics._row_blocks(0, len(rows), len(header) - 1):
-        text = repr(np.array(rows[a:b]).tolist())
-        cells = text[2:-2].replace(", ", ",").split("],[")
+        cells = _block_rows(np.array(rows[a:b]))
         if fmt == "json":
             objs = [{"k": k, **dict(zip(header[1:], c.split(",")))} for k, c in enumerate(cells, a)]
             yield ",\n" * (a > 0) + json.dumps(objs, indent=1)[2:-2]

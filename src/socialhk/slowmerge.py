@@ -190,12 +190,24 @@ def four_path_family(delta: float, bound: float = 1.0):
     Agent 4 starts just outside agent 3's confidence; the left trio contracts
     by 1/2 each step, so the merge happens at the smallest k with
     R / 2^k <= delta, i.e. ceil(log2(R / delta)) steps.  Requires
-    0 < delta < R/2.  Returns (state, predicted merge time).
+    0 < delta < R/2.  The prediction uses the gap the built state holds,
+    R - (R - delta) in floats (exact, by Sterbenz's lemma), since R - delta
+    rounds; a delta whose gap rounds to 0 is refused.  Returns (state,
+    predicted merge time).
     """
     if not 0 < delta < bound / 2:
         raise DeltaOutOfRange(f"delta must lie in (0, {bound / 2})")
     state = OpinionState([-bound, 0.0, bound, -(bound - delta)], bound)
-    return state, _geometric_hitting_time(bound, 0.5, delta)
+    return state, _geometric_hitting_time(bound, 0.5, _built_gap(bound, delta))
+
+
+def _built_gap(bound: float, delta: float) -> float:
+    """The gap R - (R - delta) that a state placing a vertex at R - delta
+    holds, after that position rounds; refuses a gap of 0."""
+    gap = bound - (bound - delta)
+    if gap == 0:
+        raise DeltaOutOfRange(f"delta={delta!r} rounds away: {bound!r} - delta is {bound!r} in floats")
+    return gap
 
 
 def _geometric_hitting_time(start: float, rate: float, target: float) -> int:
@@ -264,7 +276,9 @@ def construct_slow_state(
     boundary-adjacent entries negative; v0 is the smallest magnitude among
     those entries.  The vq side (and any leftover vertices) sit at R - delta,
     just outside confidence of the boundary until the vp side has contracted
-    by a factor of delta / v0.  Returns (state, predicted merge time).
+    by a factor of delta / v0.  As in ``four_path_family``, the prediction
+    uses the gap R - (R - delta) that the built state holds, and a delta
+    whose gap rounds to 0 is refused.  Returns (state, predicted merge time).
     """
     if verdict.kind != SUFFICIENT_HOLDS or verdict.witness is None:
         raise PreconditionViolated("need a sufficient_holds verdict with a witness")
@@ -290,7 +304,7 @@ def construct_slow_state(
     for u in vs:
         x[u] = v[local[u]]
     state = OpinionState(x, bound)
-    return state, _geometric_hitting_time(v0, float(verdict.eigenvalue), delta)
+    return state, _geometric_hitting_time(v0, float(verdict.eigenvalue), _built_gap(bound, delta))
 
 
 # -- sign ratios --------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from socialhk import cli, dynamics, graphs, sampling, slowmerge
@@ -129,8 +130,18 @@ class TestTableWriter:
         # a row wider than the default cell budget: one row per block
         "wide": (["--graph", f"path:{dynamics._CELLS + 1}", "--x0", "uniform-box:lo=0,hi=3",
                   "--max-steps", "2"], 0),
+        # the vertices of each clique agree bit for bit within a row
+        "twins": (["--graph", "dumbbell:8", "--x0", "uniform-box:lo=0,hi=1", "--max-steps", "40"], 0),
+        # fragments that stop moving: most cells repeat the cell above
+        "frozen": (["--graph", "cycle:32", "--x0", "uniform-box:lo=0,hi=4", "--max-steps", "60"], 0),
+        # -0.0 beside a repeated 0.0: one value to float ==, two bit patterns
+        "signed-zeros": (["--graph", "path:4", "--x0=-0.0,0.0,0.0,3", "--max-steps", "5"], 0),
     }
-    ROWS = {"special-values": 2, "n=1": 1, "one-state": 1, "long": 601, "partial": 6, "wide": 3}
+    ROWS = {"special-values": 2, "n=1": 1, "one-state": 1, "long": 601, "partial": 6, "wide": 3,
+            "twins": 41, "frozen": 61, "signed-zeros": 1}
+    # cases whose trajectory table repeats a 64-bit pattern within a block
+    # under both budgets, so they cover the writer's formatting of repeats
+    REPEATS = {"twins", "frozen", "signed-zeros"}
 
     # a budget of 3 cells gives blocks of 3 rows at width 1 and of 1 row at width 2 or more
     @pytest.mark.parametrize("cells", [None, 3])
@@ -143,18 +154,33 @@ class TestTableWriter:
         if cells is not None:
             monkeypatch.setattr(dynamics, "_CELLS", cells)
         write = cli._write_trajectory
-        rows = []
+        rows, repeats = [], []
 
         def both(traj, out, fmt):
             rows.append(len(traj.states))
+            n = traj.gph.n
+            repeats.append(any(np.unique(np.array(traj.states[a:b]).view(np.int64)).size < (b - a) * n
+                               for a, b in dynamics._row_blocks(0, len(traj.states), n)))
             reference_write_tables(traj, "ref", fmt)
             return write(traj, out, fmt)
 
         monkeypatch.setattr(cli, "_write_trajectory", both)
         assert run(["--seed", "4", "--out", "out", "--format", fmt, "simulate", *argv]) == want_code
         assert rows == [self.ROWS[case]]
+        if case in self.REPEATS:
+            assert repeats == [True]
         for name in (f"trajectory.{fmt}", f"energy.{fmt}"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_block_rows_are_per_cell_reprs(self):
+        # special values (two zeros, two NaN patterns of one text, subnormals),
+        # in blocks with repeats and in blocks without
+        pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 0.1, np.inf, -np.inf, np.nan, -np.nan, 1 / 3])
+        rng = np.random.default_rng(5)
+        blocks = [pool.reshape(1, -1), pool.reshape(4, 3), rng.permutation(pool).reshape(2, 6)]
+        blocks += [rng.choice(pool, size=shape) for shape in [(1, 2), (3, 4), (40, 7), (1, 300)]]
+        for block in blocks:
+            assert cli._block_rows(block) == [",".join(map(repr, row)) for row in block.tolist()], block
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_rows(self, fmt):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ class TestFourPathFamily:
             traj = dynamics.simulate(P4, state, 80)
             assert traj.merge_times() == [pred]
 
+    @pytest.mark.parametrize("e", [54, 55, 60])
+    def test_delta_that_rounds_away_is_refused(self, e):
+        # 1 - 2^-e rounds to 1: agent 4 would start at exactly -R, and the
+        # exact run never merges
+        with pytest.raises(DeltaOutOfRange):
+            sm.four_path_family(2.0**-e, 1.0)
+
+    def test_prediction_uses_the_gap_built(self):
+        # 1 - 3*2^-55 rounds to 1 - 2^-53, so the state holds a gap of 2^-53
+        state, pred = sm.four_path_family(3 * 2.0**-55, 1.0)
+        assert 1.0 + state.opinions[3] == 2.0**-53
+        exact = dynamics.simulate_exact(P4, [float(x) for x in state.opinions], 1.0, 80)
+        assert pred == 53 and exact.merge_times() == [53]
+
+    def test_bench_deltas_predict_as_before(self):
+        # delta = 2^-e with e in [k + 0.1, k + 0.9], k = 2..20: the gap built
+        # differs from delta by less than 2^-54 and crosses no power of two
+        for e in np.add.outer(np.arange(2, 21), np.linspace(0.1, 0.9, 17)).ravel():
+            delta = float(2.0**-e)
+            want = math.ceil(math.log2(1.0 / delta))
+            assert sm.four_path_family(delta, 1.0)[1] == want == sm._geometric_hitting_time(1.0, 0.5, delta), e
+
 
 class TestSufficientCheck:
     def test_p4_split_holds_exactly(self):
@@ -130,6 +153,28 @@ class TestConstructSlowState:
         v = sm.sufficient_check(P4, SPLIT_P4)
         with pytest.raises(DeltaTooLarge):
             sm.construct_slow_state(P4, SPLIT_P4, v, delta=0.5)
+
+    @pytest.mark.parametrize("e", [54, 56])
+    def test_delta_that_rounds_away_is_refused(self, e):
+        # 1 - 2^-e rounds to 1: the vq side would start at exactly R
+        v = sm.sufficient_check(P4, SPLIT_P4)
+        with pytest.raises(DeltaOutOfRange):
+            sm.construct_slow_state(P4, SPLIT_P4, v, delta=2.0**-e)
+
+    def test_prediction_uses_the_gap_built(self):
+        v = sm.sufficient_check(P4, SPLIT_P4)
+        state, pred = sm.construct_slow_state(P4, SPLIT_P4, v, delta=3 * 2.0**-55)
+        assert 1.0 - state.opinions[3] == 2.0**-53
+        exact = dynamics.simulate_exact(P4, [float(x) for x in state.opinions], 1.0, 80)
+        assert pred == 52 and exact.merge_times() == [52]
+
+    def test_bench_deltas_predict_as_before(self):
+        # delta = 0.5 * 2^-e with e in [k + 0.1, k + 0.9], k = 1..12
+        v = sm.sufficient_check(P4, SPLIT_P4)
+        for e in np.add.outer(np.arange(1, 13), np.linspace(0.1, 0.9, 17)).ravel():
+            delta = float(0.5 * 2.0**-e)
+            pred = sm.construct_slow_state(P4, SPLIT_P4, v, delta=delta)[1]
+            assert pred == math.ceil(e) == sm._geometric_hitting_time(0.5, 0.5, delta), e
 
     def test_spillover(self):
         # path 0-1-2 with two pendants on vertex 2; pendant 4 stays outside the
