@@ -23,7 +23,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import dynamics, graphs, sampling, slowmerge, spectral
-from .errors import BudgetExhausted, EmptyVertexSet, GraphFormatError, InvalidSeed, SocialHKError
+from .errors import (BudgetExhausted, DeltaOutOfRange, DeltaTooLarge, EmptyVertexSet, GraphFormatError, InvalidSeed,
+                     SocialHKError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -416,12 +417,18 @@ def _cmd_sweep(args) -> int:
     graph_bounds = _graph_bounds(g, min(eps_list or [1e-2]), bound)
     rows = []
     for i, val in enumerate(values):
-        state, predicted = start(val)
+        row = {"row": i, key: val, "config": json.dumps({**cfg, key: val}, sort_keys=True)}
+        try:
+            state, predicted = start(val)
+        except (DeltaOutOfRange, DeltaTooLarge) as exc:  # a refused delta loses its row only
+            print(f"numerical failure: row {i}: {exc}", file=sys.stderr)
+            rows.append({**row, "error": str(exc)})
+            continue
         traj = dynamics.simulate(g, state, max_steps)
         rows.append({
-            "row": i, key: val, "predicted_merge": predicted, **_flatten_summary(_summary(traj, eps_list)),
+            **row, "predicted_merge": predicted, **_flatten_summary(_summary(traj, eps_list)),
             "partial": traj.n_steps >= max_steps and not traj.locked and traj.termination_k is None,
-            **graph_bounds, "config": json.dumps({**cfg, key: val}, sort_keys=True),
+            **graph_bounds,
         })
 
     header = sorted({k for r in rows for k in r}, key=lambda k: (k != "row", k))
@@ -430,7 +437,7 @@ def _cmd_sweep(args) -> int:
     path = os.path.join(args.out, "sweep.csv")
     _atomic_write(path, [buf.getvalue()])
     print(json.dumps({"rows": len(rows), "file": path}, indent=1))
-    return EXIT_OK
+    return EXIT_NUMERICAL if any("error" in r for r in rows) else EXIT_OK
 
 
 def _config_field(cfg: dict, name: str, parse, default=None, many=False):

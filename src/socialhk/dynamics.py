@@ -12,9 +12,9 @@ update until lock.  They differ only in the update and the termination test:
 
 * the float engine (``simulate``) runs IEEE doubles and is the default; a
   state terminates when the update repeats it bitwise.  Where its influence
-  graph is frozen, it steps in blocks of rows (``_step_rows``): from the lock
-  on (``_locked_stretch``), and before it once ``_QUIET`` steps have passed
-  without a link change (``_quiet_stretch``);
+  graph is frozen, from the lock on and before it once ``_QUIET`` steps have
+  passed without a link change, one stepper (``_frozen_stretch``) steps it
+  in blocks of rows (``_step_rows``);
 * the exact engine (``simulate_exact``) runs integer arithmetic over a
   common denominator, so state equality and neighbor tests are decided in
   exact rational arithmetic; a state terminates when every live link joins
@@ -358,10 +358,10 @@ def _energy(n, src, dst, x, bound):
 
 def _check_stop(stop_on, locked) -> bool:
     """Whether ``stop_on`` ends a run at its lock; termination is each
-    engine's own test, and distance stops are ``_locked_stretch``'s."""
+    engine's own test, and ``("eps", value)`` stops are ``simulate``'s."""
     if stop_on == "lock":
         return locked
-    if stop_on is None or stop_on == "termination" or (isinstance(stop_on, tuple) and stop_on[0] == "eps"):
+    if stop_on in (None, "termination") or isinstance(stop_on, tuple) and len(stop_on) == 2 and stop_on[0] == "eps":
         return False
     raise ValueError(f"unknown stop condition {stop_on!r}")
 
@@ -372,7 +372,7 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
     hulls of ``z``, the state scaled so that links live at
     ``|z_i - z_j| <= limit``.  ``groups`` is the current epoch's
     ``label_groups``; returns the grouping after step ``k`` and whether
-    ``stop_on`` ends the run here (distance stops are ``_locked_stretch``'s)."""
+    ``stop_on`` ends the run here (``("eps", value)`` stops are ``simulate``'s)."""
     gph = traj.gph
     mask = _live_mask(gph, z, limit)
     if not traj.epochs or mask.tobytes() != traj.epochs[-1].mask.tobytes():
@@ -409,29 +409,36 @@ def _record(traj: Trajectory, rows, history_cap) -> None:
     traj.truncated |= len(rows) > room
 
 
-def _quiet_stretch(traj: Trajectory, k, x, avg, groups, max_steps, history_cap) -> tuple:
-    """Step an unlocked float run from step ``k``, state ``x``, whose links
-    have not changed since its epoch opened ``_QUIET`` or more steps before,
-    in blocks of rows of its averaging ``avg``.
+def _frozen_stretch(traj: Trajectory, k, x, avg, groups, near, max_steps, history_cap) -> tuple:
+    """Step a float run from step ``k``, state ``x``, in blocks of rows of
+    its averaging ``avg`` while its influence graph is frozen: from the lock
+    on, or in an unlocked epoch quiet for ``_QUIET`` or more steps.
 
-    A block is never longer than the quiet stretch before it, nor than
-    ``_BLOCK`` rows or the budget.  One pass over the block finds its first
-    row that repeats the row before it, changes a link or passes the lock
-    test on ``groups`` (the span bound first); the rows before it are steps
-    with nothing to observe, and are recorded.  Returns the last such step,
-    its state and the row after it, which the caller steps as any other, or
-    None in its place once the budget is used up."""
+    A block is never longer than ``_BLOCK`` rows or the budget, nor, before
+    the lock, than the quiet stretch before it.  One pass over the block
+    finds its first row that repeats the row before it, or, before the lock,
+    changes a link or passes the lock test on ``groups`` (the span bound
+    first), or, from the lock on, is ``near`` the limit (given under an
+    ``("eps", value)`` stop).  The rows before it are steps with nothing to
+    observe, and are recorded.  Returns the last such step, its state and
+    the row after it, which the caller steps as any other, or None in its
+    place once the budget is used up."""
     gph, limit = traj.gph, traj.confidence_bound
     k_start, mask, _ = traj.epochs[-1]
     while k < max_steps:
-        rows = _step_rows(x, avg, min(k - k_start, _BLOCK, max_steps - k))
+        rows = _step_rows(x, avg, min(_BLOCK if traj.locked else k - k_start, _BLOCK, max_steps - k))
         new = rows[1:]
-        event = (new == rows[:-1]).all(axis=1) | (_live_mask(gph, new.T, limit) != mask[:, None]).any(axis=0)
+        event = (new == rows[:-1]).all(axis=1)
+        if not traj.locked:
+            event |= (_live_mask(gph, new.T, limit) != mask[:, None]).any(axis=0)
         quiet = int(event.argmax()) if event.any() else len(new)
-        tested = np.flatnonzero(~_span_rules_out_lock(new[:quiet], len(groups[1]), limit))
-        if len(tested):
-            locks = tested[_lock_holds(*_hulls(new[tested], groups), limit)]
-            quiet = int(locks[0]) if len(locks) else quiet
+        if near is not None:  # given from the lock on only
+            quiet = next((i for i in range(quiet) if near(new[i])), quiet)
+        elif not traj.locked:
+            tested = np.flatnonzero(~_span_rules_out_lock(new[:quiet], len(groups[1]), limit))
+            if len(tested):
+                locks = tested[_lock_holds(*_hulls(new[tested], groups), limit)]
+                quiet = int(locks[0]) if len(locks) else quiet
         _record(traj, new[:quiet], history_cap)
         k += quiet
         traj.n_steps = k
@@ -439,43 +446,6 @@ def _quiet_stretch(traj: Trajectory, k, x, avg, groups, max_steps, history_cap) 
             return k, rows[quiet], new[quiet]
         x = rows[-1]
     return k, x, None
-
-
-def _locked_stretch(traj: Trajectory, x, avg, max_steps, stop_on, history_cap) -> bool:
-    """Step a float run from its lock state ``x`` until a repeat, an
-    ``("eps", value)`` stop or ``max_steps``; returns whether a repeat or the
-    stop ended it.
-
-    The graph is frozen, so nothing is observed: steps run in blocks of
-    ``_BLOCK`` rows (``_step_rows``), and one comparison per block finds the
-    first repeat.  ``==`` counts -0.0 equal to 0.0 and, on states without
-    NaN, is the byte test on ``x + 0.0``.  Rows stepped past a repeat or a
-    stop are dropped; ``states`` keeps views of the rows it records."""
-    eps = stop_on[1] if isinstance(stop_on, tuple) else None
-    if eps is not None:
-        x_inf = steady_state(traj).x_inf
-        if np.linalg.norm(x - x_inf) < eps:
-            return True
-    k = traj.lock_k
-    while k < max_steps:
-        rows = _step_rows(x, avg, min(_BLOCK, max_steps - k))
-        same = (rows[1:] == rows[:-1]).all(axis=1)
-        end = int(same.argmax()) if same.any() else len(same)  # rows 1..end are new states
-        hit = None
-        if eps is not None:
-            hit = next((i for i in range(1, end + 1) if np.linalg.norm(rows[i] - x_inf) < eps), None)
-        last = end if hit is None else hit
-        _record(traj, rows[1:1 + last], history_cap)
-        k += last
-        traj.n_steps = k
-        if hit is not None:
-            return True
-        if end < len(same):
-            traj.termination_k = k
-            traj.events.append(Event(k, "termination"))
-            return True
-        x = rows[-1]
-    return False
 
 
 def simulate(
@@ -488,32 +458,39 @@ def simulate(
     """Float-arithmetic simulation for up to ``max_steps`` updates.
 
     ``stop_on`` is ``None`` (run the full budget), ``"lock"``,
-    ``"termination"``, or ``("eps", value)``; when a requested condition is
-    not met within the budget, BudgetExhausted carries the partial
-    trajectory.  Termination (bitwise state repetition) always stops the run
-    since nothing can change afterwards.
+    ``"termination"``, or ``("eps", value)`` for a ``value`` > 0, which
+    stops at the first state from the lock on within ``value`` (2-norm) of
+    the limit; any other stop is refused before a step is taken.  When a
+    requested condition is not met within the budget, BudgetExhausted
+    carries the partial trajectory.  Termination (bitwise state repetition)
+    always stops the run since nothing can change afterwards.
 
     Links, events, epochs, the lock and the stop rule come from ``_observe``,
     as in ``simulate_exact``, at every step up to the lock where they can
-    change; this loop adds the float update, the bitwise termination test and
-    ``history_cap``.  Once ``_QUIET`` steps pass without a link change,
-    ``_quiet_stretch`` steps the epoch's update in blocks of rows and hands
-    back the first row that repeats, changes a link or locks.  From the lock
-    on ``_locked_stretch`` steps the frozen update in blocks and decides
-    ``("eps", value)`` stops.  Either way the recorded states are bitwise
-    those of one-step-at-a-time stepping.  Energies are derived from the
-    recorded states by ``Trajectory.energies``.
+    change; this loop adds the float update, the bitwise termination test,
+    the eps stop and ``history_cap``.  From the lock on, and before it once
+    ``_QUIET`` steps pass without a link change, ``_frozen_stretch`` steps
+    the frozen update in blocks of rows and hands back the first row that
+    repeats, changes a link, locks or lies within eps.  This loop records
+    that row as any other, and it alone logs ``termination``; past the lock
+    a row handed back without repeating is the eps row, so the run ends
+    there.  The recorded states are bitwise those of one-step-at-a-time
+    stepping.  Energies are derived from the recorded states by
+    ``Trajectory.energies``.
     """
     max_steps = index(max_steps)  # as range() would: 10.5 steps is a TypeError
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if state.n != gph.n:
         raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
+    _check_stop(stop_on, False)  # refuses an unknown stop before any step
+    if isinstance(stop_on, tuple) and not stop_on[1] > 0:  # NaN too
+        raise EpsTooSmall("eps must be positive")
     bound = state.confidence_bound
     x = np.array(state.opinions, dtype=float)
 
     traj = Trajectory(gph=gph, confidence_bound=bound, states=[x.copy()], epochs=[], events=[])
-    groups = x_new = None
+    groups = near = x_new = None
     # A repeat is tested on the bytes of x + 0.0, which is the == of the
     # blocks and np.array_equal: an update can give -0.0 (a subnormal
     # negative sum divided by the degree rounds to it), and + 0.0 turns it
@@ -528,12 +505,16 @@ def simulate(
         if k_start == k:
             t, s, deg = _averaging(gph, mask)
             avg = t, s, deg.astype(float)  # a float divisor saves a cast per step
-        if traj.locked:  # a locked graph is frozen: nothing more to observe
+        if traj.locked:
             traj.lock_state = x.copy()
-            stop = stop or _locked_stretch(traj, x, avg, max_steps, stop_on, history_cap)
+            if isinstance(stop_on, tuple):
+                x_inf, eps = steady_state(traj).x_inf, stop_on[1]
+                near = lambda z: np.linalg.norm(z - x_inf) < eps
+                stop = near(x)
+        if stop:
             break
-        if k - k_start >= _QUIET:
-            k, x, x_new = _quiet_stretch(traj, k, x, avg, groups, max_steps, history_cap)
+        if traj.locked or k - k_start >= _QUIET:
+            k, x, x_new = _frozen_stretch(traj, k, x, avg, groups, near, max_steps, history_cap)
             x_bytes = (x + 0.0).tobytes()
         if k == max_steps:
             break
@@ -552,6 +533,9 @@ def simulate(
             traj.states.append(x)
         else:
             traj.truncated = True
+        if traj.locked:  # a locked row handed back without repeating lies within eps
+            stop = True
+            break
     if not stop and stop_on is not None:
         raise BudgetExhausted(max_steps, traj)
     return traj
@@ -838,7 +822,7 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     ``history_cap`` dropped.
     """
     eps_list = eps if isinstance(eps, list) else [eps]
-    if any(e <= 0 for e in eps_list):
+    if not all(e > 0 for e in eps_list):  # NaN too
         raise EpsTooSmall("eps must be positive")
     if not traj.locked:
         raise NotLocked("eps-convergence time requires a locked trajectory")

@@ -236,26 +236,21 @@ def sufficient_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
     vertices.  Holds with the largest such eigenvalue; the witness is
     oriented negative on the boundary window.
     """
-    sub, vs = induced_subgraph(gph, split.vp)
+    sub, local, clusters = _side_spectrum(gph, split.vp)
     if not sub.is_connected():
         raise DisconnectedPart("the vp-induced subgraph must be connected")
-    local = {v: k for k, v in enumerate(vs)}
     window = [local[v] for v in split.boundary_adjacent]
     if not window:
         raise NoBoundary("split has no boundary edges")
-    dec = spectral.decompose(sub)
 
     records = []
     hit = None
-    for cluster in dec.clusters:
-        lam = float(dec.eigenvalues[cluster[0]])
+    for lam, basis in clusters:
         if not EIG_TOL < lam < 1.0 - EIG_TOL:
             continue
         exact = _rational_eigenspace(sub, lam)
         if exact is not None:
             lam, basis = exact
-        else:
-            basis = dec.eigenvectors[:, list(cluster)]
         margin, coeffs = max_min_margin(basis[window, :])
         feasible = margin > MARGIN_TOL
         records.append(EigenRecord(lam, basis.shape[1], feasible, margin))
@@ -282,8 +277,7 @@ def construct_slow_state(
     """
     if verdict.kind != SUFFICIENT_HOLDS or verdict.witness is None:
         raise PreconditionViolated("need a sufficient_holds verdict with a witness")
-    _, vs = induced_subgraph(gph, split.vp)
-    local = {v: k for k, v in enumerate(vs)}
+    _, local, _ = _side_spectrum(gph, split.vp)
     window = [local[v] for v in split.boundary_adjacent]
 
     v = np.array(verdict.witness, dtype=float)
@@ -301,8 +295,8 @@ def construct_slow_state(
         raise SpilloverVertices(spill)
 
     x = np.full(gph.n, bound - delta)
-    for u in vs:
-        x[u] = v[local[u]]
+    for u, k in local.items():
+        x[u] = v[k]
     state = OpinionState(x, bound)
     return state, _geometric_hitting_time(v0, float(verdict.eigenvalue), _built_gap(bound, delta))
 
@@ -528,8 +522,9 @@ class BoundaryEigenspace:
 
 @lru_cache(maxsize=4096)
 def _side_spectrum(gph: Graph, vertices: tuple) -> tuple:
-    """(local index of each global vertex, ((eigenvalue, eigenvectors), ...)
-    for every non-unit eigenvalue cluster) of the subgraph ``vertices`` induce.
+    """(the subgraph ``vertices`` induce, the local index of each of them,
+    ((eigenvalue, eigenvectors), ...) for every non-unit eigenvalue cluster
+    of the subgraph).
 
     Cached per vertex subset: a scan over the splits of n vertices meets
     3^n splits but only 2^n sides.
@@ -541,7 +536,7 @@ def _side_spectrum(gph: Graph, vertices: tuple) -> tuple:
         lam = float(dec.eigenvalues[cluster[0]])
         if abs(lam - 1.0) > EIG_TOL:
             clusters.append((lam, dec.eigenvectors[:, list(cluster)]))
-    return {v: k for k, v in enumerate(vs)}, tuple(clusters)
+    return sub, {v: k for k, v in enumerate(vs)}, tuple(clusters)
 
 
 def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
@@ -555,7 +550,7 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
         (split.vp, [i for i, _ in split.boundary_edges]),
         (split.vq, [j for _, j in split.boundary_edges]),
     ):
-        local, clusters = _side_spectrum(gph, side_vertices)
+        _, local, clusters = _side_spectrum(gph, side_vertices)
         rows = [local[p] for p in positions]
         contributions.extend((lam, vecs[rows]) for lam, vecs in clusters)
 

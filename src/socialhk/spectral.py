@@ -14,6 +14,7 @@ read-only because every caller shares them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -144,13 +145,18 @@ def incomplete_spectrum_report(g: Graph, dec: SpectralDecomposition, tol: float 
 
 @dataclass(frozen=True)
 class NonterminationCertificate:
-    """Spectral-coefficient certificate that a trajectory never reaches its limit.
+    """Certificate that the exact dynamics from a state never terminate.
 
     A state with spread strictly below the confidence bound keeps the influence
     graph equal to the physical graph forever, so the dynamics are the fixed
-    linear map A.  If the expansion of the state carries weight on the
-    second-largest-|lambda| eigenvalue level, the deviation from the limit is
-    a nonzero multiple of lambda_2^k at every finite k.
+    linear map A = D^{-1} A_adj, which is diagonalizable: x_k = x_inf +
+    sum over eigenvalues lambda of lambda^k part_lambda.  The run terminates
+    iff every part with lambda not 0 or 1 is zero, that is iff x_1 = A x_0 is
+    constant (the graph is connected).  ``certified`` decides that from one
+    exact step over the dyadic rationals the floats are, so it covers weight
+    on any non-zero, non-unit eigenvalue, at every scale of the state and the
+    bound, with no tolerance.  ``c2_magnitude``, the float weight on the
+    second-largest-|lambda| level, and ``lambda2_abs`` are diagnostics.
     """
 
     certified: bool
@@ -158,9 +164,7 @@ class NonterminationCertificate:
     lambda2_abs: float
 
 
-def nontermination_certificate(
-    g: Graph, opinions: np.ndarray, confidence_bound: float, tol: float = 1e-9
-) -> NonterminationCertificate:
+def nontermination_certificate(g: Graph, opinions: np.ndarray, confidence_bound: float) -> NonterminationCertificate:
     x0 = np.asarray(opinions, dtype=float)
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
@@ -171,12 +175,18 @@ def nontermination_certificate(
     spread = float(np.max(x0) - np.min(x0))
     if spread >= confidence_bound:
         raise SpreadTooLarge(f"spread {spread} must be < {confidence_bound}")
+    # one exact step: each closed neighbourhood's sum over its size
+    x, sums = [Fraction(v) for v in x0.tolist()], [Fraction(0)] * g.n
+    tgt, nbr = g.entries[:2]
+    for t, s in zip(tgt.tolist(), nbr.tolist()):
+        sums[t] += x[s]
+    certified = len({total / d for total, d in zip(sums, g.degrees.tolist())}) > 1
     dec = decompose(g)
     coeffs = np.linalg.solve(dec.eigenvectors, x0)
     lam2 = dec.second_largest_abs()
     level = [i for i in range(1, dec.n) if abs(abs(dec.eigenvalues[i]) - lam2) <= CLUSTER_TOL]
     c2 = float(np.linalg.norm(coeffs[level])) if level else 0.0
-    return NonterminationCertificate(c2 > tol, c2, lam2)
+    return NonterminationCertificate(certified, c2, lam2)
 
 
 # -- complete multipartite eigenbasis ----------------------------------------

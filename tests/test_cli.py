@@ -308,6 +308,18 @@ class TestOtherCommands:
         assert float(rows[0]["bound_break_budget"]) == 2048.0
         assert float(rows[0]["bound_conductance_floor"]) > 0
         assert rows[0]["partial"] == "False"
+        assert "error" not in rows[0]
+
+    @pytest.mark.parametrize("refused", [1e-17, 0.7])  # its gap rounds to 0; not below R / 2
+    def test_sweep_keeps_its_rows_when_a_delta_is_refused(self, refused, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:4", "R": 1.0, "deltas": [0.25, refused], "max_steps": 300}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out)["rows"] == 2
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        assert [(r["row"], r["first_merge"], r["error"]) for r in rows[:1]] == [("0", "2", "")]
+        assert rows[1]["delta"] == repr(refused) and rows[1]["first_merge"] == ""
+        assert rows[1]["error"].startswith("delta")
 
     def test_sweep_seeds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

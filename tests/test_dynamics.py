@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -71,6 +71,43 @@ def loop_simulate_array_equal(gph, state, max_steps, stop_on=None, history_cap=d
         if stop_on is not None:
             raise BudgetExhausted(max_steps, traj)
     return traj
+
+
+def spy_frozen_stretch(monkeypatch) -> list:
+    """Wrap ``dynamics._frozen_stretch``.  The list returned gains, for each
+    row a stretch hands back, (trajectory, the row's step, whether the run
+    was locked)."""
+    caught = []
+    frozen_stretch = dynamics._frozen_stretch
+
+    def spy(traj, *args):
+        out = frozen_stretch(traj, *args)
+        if out[2] is not None:
+            caught.append((traj, out[0] + 1, traj.locked))
+        return out
+
+    monkeypatch.setattr(dynamics, "_frozen_stretch", spy)
+    return caught
+
+
+def handed_back_kinds(caught) -> Counter:
+    """Why each row ``spy_frozen_stretch`` caught came back, counted by
+    (locked, kind): a repeat, before the lock a link change or the lock,
+    and from the lock on the row within eps of the limit that ends the run."""
+    kinds = Counter()
+    for traj, k, locked in caught:
+        if traj.termination_k == k - 1:
+            kind = "repeat"
+        elif locked:
+            assert traj.n_steps == k and traj.termination_k is None, k
+            kind = "eps"
+        elif traj._epoch_at(k).k_start == k:
+            kind = "link"
+        else:
+            assert traj.lock_k == k, k
+            kind = "lock"
+        kinds[locked, kind] += 1
+    return kinds
 
 
 def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None,
@@ -391,6 +428,23 @@ class TestSimulateEvents:
         ss = dynamics.steady_state(traj)
         assert np.linalg.norm(traj.states[traj.n_steps] - ss.x_inf) < 1e-3
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    def test_eps_stop_without_a_positive_eps_is_refused_at_the_call(self, eps, monkeypatch):
+        # the 6-cycle locks at step 0 and does not repeat within 50 steps: a
+        # stop that no distance meets would run out the budget, so it is
+        # refused before the first observation
+        monkeypatch.setattr(dynamics, "_observe", None)  # no step is taken
+        with pytest.raises(EpsTooSmall):
+            dynamics.simulate(graphs.cycle_graph(6), OpinionState(np.linspace(0, 0.5, 6), 1.0), 50,
+                              stop_on=("eps", eps))
+
+    @pytest.mark.parametrize("stop_on", [(), ("eps",), ("eps", 1e-3, 1e-3), ("lock", 1e-3), ("distance", 1e-3)])
+    def test_other_tuple_stops_are_unknown(self, stop_on, monkeypatch):
+        monkeypatch.setattr(dynamics, "_observe", None)
+        with pytest.raises(ValueError, match="unknown stop condition"):
+            dynamics.simulate(graphs.cycle_graph(6), OpinionState(np.linspace(0, 0.5, 6), 1.0), 50,
+                              stop_on=stop_on)
+
     def test_lock_at_step_zero_stops_both_engines_before_an_update(self):
         x0 = [0.1, 0.0, -0.1]
         traj = dynamics.simulate(path_graph(3), OpinionState(x0, 1.0), 100, stop_on="lock")
@@ -561,10 +615,12 @@ class TestEngine:
             assert sub.termination_k == 1 and np.signbit(sub.states[1][:2]).all(), (g, x0)
         assert at_zero >= 10 and signed >= 10, (at_zero, signed)
 
-    def test_locked_blocks_match_one_step_loop(self):
+    def test_locked_blocks_match_one_step_loop(self, monkeypatch):
         # the locked stretch runs in blocks of dynamics._BLOCK rows: budgets
         # end 1, 63, 64, 65 and 129 steps past the lock, or at it, and caps
-        # and eps stops fall on both sides of a block edge
+        # and eps stops fall on both sides of a block edge.  A locked block
+        # hands back only a repeat or the row within eps of the limit.
+        caught = spy_frozen_stretch(monkeypatch)
         rng = philox(139)
         cases = [(random_connected_graph(rng, int(rng.integers(2, 10))), None) for _ in range(6)]
         cases = [(g, rng.uniform(0, (0.8, 2.0)[i % 2], g.n)) for i, (g, _) in enumerate(cases)]
@@ -602,6 +658,9 @@ class TestEngine:
         signs = dynamics.simulate(path_graph(5), OpinionState([-0.0, -0.0, -0.0, 0.25, 0.5], 1.0), 3).states
         assert np.signbit(signs[0][:3]).all() and not np.signbit(signs[1][:2]).any()
         assert min(seen.values()) >= 20, seen
+        kinds = handed_back_kinds(caught)
+        locked = {kind: n for (was_locked, kind), n in kinds.items() if was_locked}
+        assert set(locked) == {"repeat", "eps"} and min(locked.values()) >= 20, kinds
 
     def test_unlocked_blocks_match_one_step_loop(self, monkeypatch):
         # once an epoch has been quiet for dynamics._QUIET steps, its rows are
@@ -639,16 +698,7 @@ class TestEngine:
         # the four-path merges and locks at step 20, inside the second block
         cases.append((path_graph(4), np.array([-1.0, 0.0, 1.0, -(1.0 - 2.0**-20)]), 160))
 
-        caught = []  # (trajectory, the step of an event row a block handed back)
-        quiet_stretch = dynamics._quiet_stretch
-
-        def spy(traj, *args):
-            out = quiet_stretch(traj, *args)
-            if out[2] is not None:
-                caught.append((traj, out[0] + 1))
-            return out
-
-        monkeypatch.setattr(dynamics, "_quiet_stretch", spy)
+        caught = spy_frozen_stretch(monkeypatch)
         stops = [None, "lock", "termination", ("eps", 1e-6)]
         for g, x0, max_steps in cases:
             state = OpinionState(x0, 1.0)
@@ -661,16 +711,8 @@ class TestEngine:
                 want, want_ex = run_exact(loop_simulate_array_equal, g, state, m, stop_on, history_cap)
                 assert (exact_fields(got), got.truncated, got_ex) == \
                     (exact_fields(want), want.truncated, want_ex), (g, x0, m, history_cap, stop_on)
-        kinds = {"repeat": 0, "link": 0, "lock": 0}
-        for traj, k in caught:
-            if traj.termination_k == k - 1:
-                kinds["repeat"] += 1
-            elif traj._epoch_at(k).k_start == k:
-                kinds["link"] += 1
-            else:
-                assert traj.lock_k == k, k
-                kinds["lock"] += 1
-        assert kinds["repeat"] >= 20 and kinds["link"] >= 200 and kinds["lock"] >= 30, kinds
+        kinds = handed_back_kinds(caught)
+        assert kinds[False, "repeat"] >= 20 and kinds[False, "link"] >= 200 and kinds[False, "lock"] >= 30, kinds
 
 
 class TestObserveShortcuts:
@@ -981,8 +1023,9 @@ class TestEpsConvergence:
     def test_eps_positive(self):
         traj = dynamics.simulate(path_graph(3), OpinionState(np.full(3, 0.2), 1.0), 5)
         ss = dynamics.steady_state(traj)
-        with pytest.raises(EpsTooSmall):
-            dynamics.eps_convergence_time(traj, ss, 0.0)
+        for eps in (0.0, math.nan, [1e-2, math.nan]):  # NaN read as converged from step 0
+            with pytest.raises(EpsTooSmall):
+                dynamics.eps_convergence_time(traj, ss, eps)
 
     def test_list_form_matches_single_calls(self):
         # a cycle (repeated eigenvalues) and a run locked into two components

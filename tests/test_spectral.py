@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from socialhk import graphs, spectral
+from socialhk import dynamics, graphs, spectral
 from socialhk.errors import PreconditionViolated, SpreadTooLarge
 from socialhk.graphs import PartiteSpec, complete_graph, complete_r_partite, path_graph
 
@@ -147,6 +147,45 @@ class TestNonterminationCertificate:
             path_graph(4), np.array([0.0, 0.1, 0.2, 0.3]), 1.0
         )
         assert cert.certified
+
+    @staticmethod
+    def exact_never_terminates(g, x0, bound):
+        return dynamics.simulate_exact(g, list(x0), bound, 3).termination_k is None
+
+    def test_one_verdict_at_every_scale(self):
+        # consensus on cycle:12 terminates at step 0, and the lambda = 1/2
+        # eigenvector on path:3 never does; both hold with the bound scaled too
+        states = [(graphs.cycle_graph(12), 0.3 * np.ones(12)), (path_graph(3), 0.1 * np.array([1.0, 0.0, -1.0]))]
+        for g, x0 in states:
+            verdicts = set()
+            for s in (2.0**-40, 1.0, 2.0**40):
+                cert = spectral.nontermination_certificate(g, s * x0, s)
+                assert cert.certified == self.exact_never_terminates(g, s * x0, s), (g, s)
+                verdicts.add(cert.certified)
+            assert len(verdicts) == 1, g
+        assert [spectral.nontermination_certificate(g, x0, 1.0).certified for g, x0 in states] == [False, True]
+
+    def test_agrees_with_the_exact_engine(self):
+        # vertices 0 and 1 of K4 less the edge (2, 3) are twins, so e0 - e1 has
+        # eigenvalue 0: the first state is constant after one step
+        cases = [(graphs.Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)})),
+                  np.array([0.625, 0.375, 0.5, 0.5]))]
+        rng = philox(151)
+        for i in range(60):
+            g = random_connected_graph(rng, int(rng.integers(3, 9)))
+            x0 = np.round(rng.uniform(0, 0.9, g.n), 3)
+            if i % 3 == 0:  # consensus, which terminates at step 0
+                x0[:] = x0[0]
+            if not g.is_complete():
+                cases.append((g, x0))
+        seen = {True: 0, False: 0}
+        for g, x0 in cases:
+            cert = spectral.nontermination_certificate(g, x0, 1.0)
+            assert cert.certified == self.exact_never_terminates(g, x0, 1.0), (g, x0)
+            seen[cert.certified] += 1
+        assert not spectral.nontermination_certificate(*cases[0], 1.0).certified
+        assert dynamics.simulate_exact(*cases[0], 1.0, 3).termination_k == 1
+        assert min(seen.values()) >= 10, seen
 
     def test_spread_too_large(self):
         with pytest.raises(SpreadTooLarge):
