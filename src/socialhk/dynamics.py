@@ -800,6 +800,14 @@ def steady_state(traj: Trajectory) -> SteadyState:
     return SteadyState(ig.components, tuple(values), k, x_inf, tuple(exact_vals))
 
 
+def _component_spectra(ig: InfluenceGraph) -> list:
+    """(vertices, ``spectral.decompose`` of the subgraph they induce) for each
+    component of ``ig`` with more than one vertex.  A lone vertex is at its
+    limit already: it has no tail and no eigenvalue below 1."""
+    subs = (induced_subgraph(ig.graph, comp) for comp in ig.components if len(comp) > 1)
+    return [(list(vs), spectral.decompose(sub)) for sub, vs in subs]
+
+
 def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     """First step from which the trajectory is certified to stay within
     ``eps`` (2-norm) of the limit: an upper bound on the smallest such N.
@@ -829,23 +837,22 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     if not eps_list:
         return []
     k_lock = traj.lock_k
-    ig = traj.influence_graph_at(k_lock)
 
-    # Per component: the norm of the deviation at lock in each eigenspace,
-    # and that eigenspace's |lambda|.  Clusters are runs of consecutive
-    # eigenvalues, so one reduceat over their starts gives every rate.
-    comp_tails = []
-    for comp in ig.components:
-        sub, vs = induced_subgraph(ig.graph, comp)
-        dec = spectral.decompose(sub)
-        dev = traj.lock_state[list(vs)] - ss.x_inf[list(vs)]
+    # Per cluster of equal eigenvalues (consecutive indices) of each component:
+    # the norm of the deviation at lock in its eigenspace and its |lambda|,
+    # flat over the components, whose first clusters are at ``firsts``.
+    weights, rates, firsts = [], [], []
+    for vs, dec in _component_spectra(traj.influence_graph_at(k_lock)):
+        starts = [cl[0] for cl in dec.clusters]
+        dev = traj.lock_state[vs] - ss.x_inf[vs]
         parts = dec.eigenvectors * np.linalg.solve(dec.eigenvectors, dev)
-        weights = np.array([np.linalg.norm(parts[:, list(cl)].sum(axis=1)) for cl in dec.clusters])
-        rates = np.maximum.reduceat(np.abs(dec.eigenvalues), [cl[0] for cl in dec.clusters])
-        comp_tails.append((weights, rates))
+        firsts.append(len(weights))
+        weights.extend(np.linalg.norm(np.add.reduceat(parts, starts, axis=1), axis=0))
+        rates.extend(np.maximum.reduceat(np.abs(dec.eigenvalues), starts))
+    weights, rates = np.array(weights), np.array(rates)
 
     def tail(steps):
-        return math.sqrt(sum(float(np.sum(w * r**steps)) ** 2 for w, r in comp_tails))
+        return float(np.linalg.norm(np.add.reduceat(weights * rates**steps, firsts)))
 
     def first_step(e):
         # The bound is non-increasing in the step count past lock: find the
@@ -883,8 +890,12 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
     Exact trajectories measure in integer arithmetic, from each locked
     component's conserved weighted sum (the ratio is formed before any float
     conversion, so underflow cannot corrupt it).  Float trajectories use
-    recorded states above the rounding floor.
+    recorded states above the rounding floor, and raise HistoryTruncated
+    when ``history_cap`` dropped the last states, as the ratio of a prefix
+    is not the tail's.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if traj.is_exact:
         entries = {e[0]: e for e in traj.exact_window}
         ks = sorted(entries)
@@ -921,6 +932,8 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
         ratio = spread(y_hi, 1, sums) / (spread(y_lo, q // g, [s // g for s in sums]) * g * g)
         return ratio ** (1.0 / (2 * window))
 
+    if traj.truncated:
+        raise HistoryTruncated(f"states {len(traj.states)}..{traj.n_steps} were not recorded")
     dists = [float(np.linalg.norm(s - ss.x_inf)) for s in traj.states]
     floor = 1e-13 * max(1.0, float(np.max(np.abs(traj.states[0]))))
     good = [d for d in dists if d > floor]
@@ -945,16 +958,6 @@ class EnergyReport:
     n_breaks: int
     violations: tuple  # (k, clause, detail)
     truncated: bool = False
-
-
-def _component_lambda(ig: InfluenceGraph) -> float:
-    """max |lambda| over non-unit eigenvalues across components (0 if none)."""
-    worst = 0.0
-    for comp in ig.components:
-        if len(comp) > 1:
-            sub, _ = induced_subgraph(ig.graph, comp)
-            worst = max(worst, spectral.decompose(sub).second_largest_abs())
-    return worst
 
 
 def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyReport:
@@ -986,7 +989,7 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
     for k0, k1 in zip(starts, starts[1:]):
         # one influence graph, so one lambda and one diameter, per epoch
         ig = traj.influence_graph_at(k0)
-        lam = _component_lambda(ig)
+        lam = max((dec.second_largest_abs() for _, dec in _component_spectra(ig)), default=0.0)
         gap = 1.0 - lam * lam
         d_eff = effective_diameter(ig.graph)
         floor = 3.0 / (2.0 * n * n * max(d_eff, 1))

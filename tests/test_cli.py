@@ -113,6 +113,27 @@ class TestSimulateCommand:
         assert run(["--out", str(tmp_path), "simulate", "--graph", "path:2", *x0]) == 1
         assert capsys.readouterr().err.startswith("usage error: argument --x0: expected one argument")
 
+    def test_eps_stop(self, tmp_path, capsys):
+        # the CLI stops where the library does and writes the same states
+        out, ref = str(tmp_path / "cli"), str(tmp_path / "ref")
+        assert run([
+            "--seed", "5", "--out", out, "simulate", "--graph", "cycle:12",
+            "--x0", "narrow-spread:center=0,width=0.6", "--stop-on", "eps", "--eps", "1e-3",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 52
+        state = sampling.narrow_spread(12, 1.0, 0.0, 0.6, 5)
+        reference_write_tables(dynamics.simulate(graphs.cycle_graph(12), state, 1000, stop_on=("eps", 1e-3)),
+                               ref, "csv")
+        for name in ("trajectory.csv", "energy.csv"):
+            assert read(f"{out}/{name}") == read(f"{ref}/{name}")
+
+    def test_eps_stop_needs_eps(self, tmp_path, capsys):
+        assert run([
+            "--seed", "5", "--out", str(tmp_path), "simulate", "--graph", "cycle:12",
+            "--x0", "narrow-spread:center=0,width=0.6", "--stop-on", "eps",
+        ]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --stop-on eps requires --eps")
+
     def test_sampler_requires_seed(self, capsys):
         code = run(["simulate", "--graph", "path:3", "--x0", "narrow-spread:center=0,width=0.5"])
         assert code == 1
@@ -286,6 +307,16 @@ class TestOtherCommands:
         assert payload["predicted_merge_time"] == 3
         saved = json.loads(read(f"{out}/x0.json"))
         assert [float(v) for v in saved["opinions"]] == [0.5, 0.0, -0.5, 0.9375]
+
+    def test_construct_refuses_when_the_sufficient_condition_fails(self, tmp_path, capsys):
+        assert run([
+            "--out", str(tmp_path), "construct", "--graph", "dumbbell:8",
+            "--vp", "1,2,3,4", "--vq", "5,6,7,8", "--delta", "0.01",
+        ]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "sufficient condition fails"
+        assert payload["verdict"]["kind"] == "sufficient_fails"
+        assert not (tmp_path / "x0.json").exists()
 
     def test_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

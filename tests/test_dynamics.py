@@ -312,6 +312,31 @@ def reference_tail_decay_ratio(traj, ss, window=50):
     return ((top_hi * bottom_lo) / (bottom_hi * top_lo)) ** (1.0 / (2 * window))
 
 
+def reference_tail_steps(traj, ss, eps):
+    """Reference: the step where the tail bound of
+    ``dynamics.eps_convergence_time`` first falls below ``eps``, the bound
+    summed in Python loops over every component (a lone vertex too) and
+    each cluster of its eigenvalues, and scanned one step at a time from the
+    lock on; None when it is below ``eps`` one step past the lock."""
+    ig = traj.influence_graph_at(traj.lock_k)
+    terms = []
+    for comp in ig.components:
+        sub, vs = graphs.induced_subgraph(ig.graph, comp)
+        dec = spectral.decompose(sub)
+        dev = traj.lock_state[list(vs)] - ss.x_inf[list(vs)]
+        parts = dec.eigenvectors * np.linalg.solve(dec.eigenvectors, dev)
+        terms.append([(np.linalg.norm(parts[:, list(cl)].sum(axis=1)), max(abs(dec.eigenvalues[i]) for i in cl))
+                      for cl in dec.clusters])
+
+    def tail(steps):
+        return math.sqrt(sum(sum(w * r**steps for w, r in comp) ** 2 for comp in terms))
+
+    steps = 1
+    while tail(steps) >= eps:
+        steps += 1
+    return traj.lock_k + steps if steps > 1 else None
+
+
 class TestInfluenceGraph:
     def test_four_path_example(self):
         ig = dynamics.influence_graph(path_graph(4), OpinionState([-1, 0, 1, -0.75], 1.0))
@@ -943,6 +968,20 @@ class TestEnergyCertificates:
             rep = dynamics.verify_energy_certificates(traj)
             assert rep.ok, (g, x0, rep.violations)
 
+    def test_a_rising_energy_fails_the_report(self):
+        # widening recorded state 2 tenfold about its mean raises its energy
+        # far above any rounding slack, so step 1 breaks monotonicity
+        st = sampling.narrow_spread(12, 1.0, 0.0, 0.6, seed=5)
+        traj = dynamics.simulate(graphs.cycle_graph(12), st, 40)
+        assert dynamics.verify_energy_certificates(traj).ok
+        x = traj.states[2]
+        traj.states[2] = x.mean() + 10.0 * (x - x.mean())
+        (e1, _), (e2, _) = traj.energies[1:3]
+        assert e2 - e1 > 1.0
+        rep = dynamics.verify_energy_certificates(traj)
+        assert not rep.ok
+        assert (1, "monotone") in [v[:2] for v in rep.violations]
+
     def test_report_flags_a_history_cap_prefix(self):
         st = sampling.narrow_spread(4, 1.0, 0.0, 0.5, seed=3)
         capped = dynamics.simulate(path_graph(4), st, 10_000, history_cap=100)
@@ -1019,6 +1058,27 @@ class TestEpsConvergence:
         want = int(np.ceil(np.log2(1 / delta)))
         for eps in (0.1, 0.25, 0.4):
             assert dynamics.eps_convergence_time(traj, ss, eps) >= want
+
+    def test_tail_matches_the_component_loop(self):
+        # one component, or blocks of a path or cycle more than R apart that
+        # lock at step 0 into several, some of them lone vertices
+        rng = philox(2323)
+        seen = Counter()
+        for i in range(40):
+            sizes = rng.integers(1, 7, int(rng.integers(1, 5)))
+            n = int(sizes.sum())
+            g = graphs.cycle_graph(n) if i % 2 and n > 2 else path_graph(n)
+            x0 = np.concatenate([3.0 * b + rng.uniform(-0.4, 0.4, size) for b, size in enumerate(sizes)])
+            traj = dynamics.simulate(g, OpinionState(x0, 1.0), 1)
+            ss = dynamics.steady_state(traj)
+            for eps in (1e-2, 1e-6):
+                want = reference_tail_steps(traj, ss, eps)
+                if want is not None:
+                    assert dynamics.eps_convergence_time(traj, ss, eps) == want, (g, x0, eps)
+                    seen["compared"] += 1
+                    seen["several_components"] += len(sizes) > 1
+                    seen["lone_vertex"] += 1 in sizes
+        assert seen["compared"] >= 50 and seen["several_components"] >= 30 and seen["lone_vertex"] >= 10, seen
 
     def test_eps_positive(self):
         traj = dynamics.simulate(path_graph(3), OpinionState(np.full(3, 0.2), 1.0), 5)
@@ -1489,6 +1549,37 @@ class TestLockedPower:
                 for p in (1, 2, int(rng.integers(3, 400))):
                     assert dynamics._locked_power(neigh, components, y, p) == \
                         reference_locked_power(neigh, components, y, p), (g, mask, p)
+
+
+class TestFloatTailRatio:
+    @staticmethod
+    def cycle_run(**kwargs):
+        x0 = np.random.default_rng(3).uniform(-0.3, 0.3, 24)
+        return dynamics.simulate(graphs.cycle_graph(24), OpinionState(x0, 1.0), 3000, **kwargs)
+
+    def test_reads_lambda2(self):
+        traj = self.cycle_run()
+        lam2 = spectral.decompose(traj.gph).second_largest_abs()
+        assert dynamics.tail_decay_ratio(traj, dynamics.steady_state(traj)) == pytest.approx(lam2, abs=1e-3)
+
+    def test_capped_run_is_refused(self):
+        # its last recorded states are a prefix, whose decay is not the tail's
+        capped = self.cycle_run(history_cap=60)
+        assert capped.truncated
+        with pytest.raises(HistoryTruncated):
+            dynamics.tail_decay_ratio(capped, dynamics.steady_state(capped))
+
+    def test_exact_run_that_jumped_keeps_its_ratio(self):
+        traj = dynamics.simulate_exact(path_graph(3), [0.1, 0.0, -0.1], 1.0, 600)
+        assert traj.exact_jump is not None and traj.truncated
+        lam2 = spectral.decompose(path_graph(3)).second_largest_abs()
+        assert dynamics.tail_decay_ratio(traj, dynamics.steady_state(traj)) == pytest.approx(lam2, abs=1e-3)
+
+    def test_window_must_be_positive(self):
+        for traj in (self.cycle_run(), dynamics.simulate_exact(path_graph(3), [0.1, 0.0, -0.1], 1.0, 600)):
+            for window in (0, -1):
+                with pytest.raises(ValueError, match="window"):
+                    dynamics.tail_decay_ratio(traj, dynamics.steady_state(traj), window)
 
 
 class TestExactTailRatio:
