@@ -408,6 +408,7 @@ def _cmd_sweep(args) -> int:
         key, values = "seed", _config_field(cfg, "seeds", int, many=True)
         sampler = dict(cfg["sampler"])
         mode = sampler.pop("mode", None)
+        sampler = {name: _config_field(sampler, name, float) for name in sampler}  # as --x0 reads them
 
         def start(seed):
             return _sample(g.n, bound, mode, seed, sampler), None

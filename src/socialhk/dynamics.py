@@ -5,10 +5,11 @@ influence neighbors: the agents it is joined to in the physical graph AND
 whose opinions lie within the confidence bound.  Equivalently
 ``x[k+1] = D^{-1} A_adj x[k]`` over the influence graph at time k.
 
-Two engines observe their states with one routine, ``_observe``: the
-live-link mask, link and merge events, epochs, the lock test on
-per-component opinion hulls and the stop rule, at step 0 and after every
-update until lock.  They differ only in the update and the termination test:
+Two engines check their arguments with ``_check_run`` before any step and
+observe their states with ``_observe``: the live-link mask, link and merge
+events, epochs and the lock test on per-component opinion hulls, at step 0
+and after every update until lock; each ends its own run.  They differ
+only in the update and the termination test:
 
 * the float engine (``simulate``) runs IEEE doubles and is the default; a
   state terminates when the update repeats it bitwise.  Where its influence
@@ -356,23 +357,29 @@ def _energy(n, src, dst, x, bound):
     return act + (n * n - n - 2 * len(src)) * float(bound) ** 2, act
 
 
-def _check_stop(stop_on, locked) -> bool:
-    """Whether ``stop_on`` ends a run at its lock; termination is each
-    engine's own test, and ``("eps", value)`` stops are ``simulate``'s."""
-    if stop_on == "lock":
-        return locked
-    if stop_on in (None, "termination") or isinstance(stop_on, tuple) and len(stop_on) == 2 and stop_on[0] == "eps":
-        return False
-    raise ValueError(f"unknown stop condition {stop_on!r}")
+def _check_run(gph: Graph, n, max_steps, stop_on) -> int:
+    """Check the arguments both engines share, before any step: a budget of
+    one step or more, ``n`` opinions for ``gph`` and a known ``stop_on``
+    (``("eps", value)`` with ``value`` > 0); returns ``max_steps`` as an index."""
+    max_steps = index(max_steps)  # as range() would: 10.5 steps is a TypeError
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if n != gph.n:
+        raise DimensionMismatch(f"state has {n} opinions, graph has {gph.n} vertices")
+    if isinstance(stop_on, tuple) and len(stop_on) == 2 and stop_on[0] == "eps":
+        if not stop_on[1] > 0:  # NaN too
+            raise EpsTooSmall("eps must be positive")
+    elif stop_on not in (None, "lock", "termination"):
+        raise ValueError(f"unknown stop condition {stop_on!r}")
+    return max_steps
 
 
-def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
+def _observe(traj: Trajectory, k: int, z, limit, groups) -> tuple:
     """Log the events of step ``k`` of an unlocked run, open an epoch if its
     links changed (the first at k = 0) and test the lock on the component
     hulls of ``z``, the state scaled so that links live at
     ``|z_i - z_j| <= limit``.  ``groups`` is the current epoch's
-    ``label_groups``; returns the grouping after step ``k`` and whether
-    ``stop_on`` ends the run here (``("eps", value)`` stops are ``simulate``'s)."""
+    ``label_groups``; returns the grouping after step ``k``."""
     gph = traj.gph
     mask = _live_mask(gph, z, limit)
     if not traj.epochs or mask.tobytes() != traj.epochs[-1].mask.tobytes():
@@ -385,7 +392,7 @@ def _observe(traj: Trajectory, k: int, z, limit, groups, stop_on) -> tuple:
     if not _span_rules_out_lock(z, len(groups[1]), limit) and _lock_holds(*_hulls(z, groups), limit):
         traj.lock_k = k
         traj.events.append(Event(k, "lock"))
-    return groups, _check_stop(stop_on, traj.locked)
+    return groups
 
 
 def _step_rows(x, avg, n_rows) -> np.ndarray:
@@ -465,27 +472,21 @@ def simulate(
     carries the partial trajectory.  Termination (bitwise state repetition)
     always stops the run since nothing can change afterwards.
 
-    Links, events, epochs, the lock and the stop rule come from ``_observe``,
-    as in ``simulate_exact``, at every step up to the lock where they can
-    change; this loop adds the float update, the bitwise termination test,
-    the eps stop and ``history_cap``.  From the lock on, and before it once
-    ``_QUIET`` steps pass without a link change, ``_frozen_stretch`` steps
-    the frozen update in blocks of rows and hands back the first row that
-    repeats, changes a link, locks or lies within eps.  This loop records
-    that row as any other, and it alone logs ``termination``; past the lock
-    a row handed back without repeating is the eps row, so the run ends
-    there.  The recorded states are bitwise those of one-step-at-a-time
-    stepping.  Energies are derived from the recorded states by
-    ``Trajectory.energies``.
+    Links, events, epochs and the lock come from ``_observe``, as in
+    ``simulate_exact``, at every step up to the lock where they can change;
+    this loop adds the float update, the bitwise termination test, the stop
+    rule and ``history_cap``, one statement for each way a run ends (the
+    lock, a state within eps at the lock, a repeat, the eps row, the
+    budget).  From the lock on, and before it once ``_QUIET`` steps pass
+    without a link change, ``_frozen_stretch`` steps the frozen update in
+    blocks of rows and hands back the first row that repeats, changes a
+    link, locks or lies within eps.  This loop records that row as any
+    other, and it alone logs ``termination``; past the lock a row handed
+    back without repeating is the eps row, so the run ends there.  The
+    recorded states are bitwise those of one-step-at-a-time stepping.
+    Energies are derived from the recorded states by ``Trajectory.energies``.
     """
-    max_steps = index(max_steps)  # as range() would: 10.5 steps is a TypeError
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if state.n != gph.n:
-        raise DimensionMismatch(f"state has {state.n} opinions, graph has {gph.n} vertices")
-    _check_stop(stop_on, False)  # refuses an unknown stop before any step
-    if isinstance(stop_on, tuple) and not stop_on[1] > 0:  # NaN too
-        raise EpsTooSmall("eps must be positive")
+    max_steps = _check_run(gph, state.n, max_steps, stop_on)
     bound = state.confidence_bound
     x = np.array(state.opinions, dtype=float)
 
@@ -500,23 +501,26 @@ def simulate(
     x_bytes = (x + 0.0).tobytes()
     k = 0
     while True:
-        groups, stop = _observe(traj, k, x, bound, groups, stop_on)
+        groups = _observe(traj, k, x, bound, groups)
         k_start, mask, _ = traj.epochs[-1]
         if k_start == k:
             t, s, deg = _averaging(gph, mask)
             avg = t, s, deg.astype(float)  # a float divisor saves a cast per step
         if traj.locked:
             traj.lock_state = x.copy()
+            if stop_on == "lock":
+                break
             if isinstance(stop_on, tuple):
                 x_inf, eps = steady_state(traj).x_inf, stop_on[1]
                 near = lambda z: np.linalg.norm(z - x_inf) < eps
-                stop = near(x)
-        if stop:
-            break
+                if near(x):
+                    break
         if traj.locked or k - k_start >= _QUIET:
             k, x, x_new = _frozen_stretch(traj, k, x, avg, groups, near, max_steps, history_cap)
             x_bytes = (x + 0.0).tobytes()
         if k == max_steps:
+            if stop_on is not None:
+                raise BudgetExhausted(max_steps, traj)
             break
         k += 1
         if x_new is None:
@@ -525,7 +529,6 @@ def simulate(
         if new_bytes == x_bytes:
             traj.termination_k = k - 1
             traj.events.append(Event(k - 1, "termination"))
-            stop = True
             break
         x, x_bytes, x_new = x_new, new_bytes, None
         traj.n_steps = k
@@ -534,10 +537,7 @@ def simulate(
         else:
             traj.truncated = True
         if traj.locked:  # a locked row handed back without repeating lies within eps
-            stop = True
             break
-    if not stop and stop_on is not None:
-        raise BudgetExhausted(max_steps, traj)
     return traj
 
 
@@ -620,6 +620,17 @@ def _locked_power(neigh, components, y, p) -> list:
     return y
 
 
+def _fraction(v, message) -> Fraction:
+    """``v`` as a Fraction, never through a float; +-inf and NaN raise
+    ValueError(``message``)."""
+    try:
+        if v == v:  # NaN is the one value unequal to itself
+            return Fraction(v)
+    except OverflowError:  # +-inf has no integer ratio
+        pass
+    raise ValueError(message)
+
+
 def simulate_exact(
     gph: Graph,
     opinions,
@@ -637,11 +648,11 @@ def simulate_exact(
     ``exact_jump`` and is ``truncated``; the exact states of the final
     ``window`` steps are kept for tail measurements.
 
-    Links, events, epochs, the lock and the stop rule come from ``_observe``,
-    as in ``simulate``, fed the numerators times the bound's denominator
-    against the bound's numerator times the common denominator; this loop
-    adds the integer update, the termination test, the exact window and the
-    locked-stretch jump.
+    Links, events, epochs and the lock come from ``_observe``, as in
+    ``simulate``, fed the numerators times the bound's denominator against
+    the bound's numerator times the common denominator; this loop adds the
+    integer update, the termination test, the stop rule, the exact window
+    and the locked-stretch jump.
 
     After lock every step multiplies the numerators by one integer matrix
     M = lcm * D^-1 (Adj + I) and the denominator by lcm.  M is similar to a
@@ -668,16 +679,12 @@ def simulate_exact(
     lost more than 2.5 ms to the faster way (1/4 lost up to 73 ms, 1 up to
     207 ms).
     """
-    max_steps = index(max_steps)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     if isinstance(stop_on, tuple):
         raise ValueError("distance-based stops are a float-engine feature; "
                          "use stop_on in {None, 'lock', 'termination'} here")
-    fracs = [Fraction(v) for v in opinions]
-    if len(fracs) != gph.n:
-        raise DimensionMismatch(f"state has {len(fracs)} opinions, graph has {gph.n} vertices")
-    bound = Fraction(confidence_bound)
+    fracs = [_fraction(v, "opinions must be finite") for v in opinions]
+    max_steps = _check_run(gph, len(fracs), max_steps, stop_on)
+    bound = _fraction(confidence_bound, "confidence bound must be finite and positive")
     if bound <= 0:
         raise ValueError("confidence bound must be positive")
 
@@ -724,13 +731,13 @@ def simulate_exact(
 
         if not traj.locked:
             # bq * |y_i - y_j| <= bp * denom is |y_i - y_j| / denom <= bp / bq
-            groups, stop = _observe(traj, k, bq * np.array(y, dtype=object), bp * denom, groups, stop_on)
-            if traj.lock_k == k:
-                traj.lock_state = project(y, denom)
+            groups = _observe(traj, k, bq * np.array(y, dtype=object), bp * denom, groups)
             if traj.epochs[-1].k_start == k:
                 neigh = None
-            if stop:
-                break
+            if traj.lock_k == k:
+                traj.lock_state = project(y, denom)
+                if stop_on == "lock":
+                    break
 
         # Past lock_k + 1 without termination no later state repeats, so the
         # locked stretch up to the final window is one power of the frozen

@@ -437,6 +437,8 @@ def graph_from_json(text: str) -> Graph:
     n = payload["n"]
     if type(n) is not int or n < 1:  # JSON true and false are bools, not integers
         raise GraphFormatError("'n' must be a positive integer")
+    if not isinstance(payload["edges"], list):
+        raise GraphFormatError("'edges' must be a list of pairs")
     seen = set()
     for pair in payload["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):

@@ -483,9 +483,21 @@ class TestExitCodes:
         assert run(["--seed", "1", "--out", str(tmp_path), "simulate", *argv]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("edges", ["5", "null", "{}"])
+    def test_graph_file_whose_edges_are_no_list_is_an_input_error(self, edges, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(f'{{"n": 3, "edges": {edges}}}')
+        assert run(["--out", str(tmp_path), "spectra", "--graph", str(gpath)]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
     @pytest.mark.parametrize("sampler", [
         {"center": 0.0, "width": 0.5},
         {"mode": "uniform_box", "lo": 0.0},
+        # sampler parameters are numbers as the config's other fields are
+        {"mode": "uniform_box", "lo": False, "hi": True},
+        {"mode": "uniform_box", "lo": 0.0, "hi": True},
+        {"mode": "uniform_box", "lo": "0.5", "hi": 1.0},
+        {"mode": "narrow_spread", "center": 0.0, "width": "0.5"},
     ])
     def test_malformed_sweep_sampler_is_a_usage_error(self, sampler, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

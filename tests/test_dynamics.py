@@ -32,6 +32,13 @@ def star_with_tail():
     return g, x0
 
 
+def assert_refused(exc_type, message, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` raises exactly ``exc_type`` with ``message``."""
+    with pytest.raises(exc_type) as err:
+        call(*args, **kwargs)
+    assert (err.type, str(err.value)) == (exc_type, message)
+
+
 def loop_simulate_array_equal(gph, state, max_steps, stop_on=None, history_cap=dynamics.HISTORY_CAP):
     """The float loop of ``dynamics.simulate`` as it was before the locked
     stretch ran in blocks: one state at a time up to the budget, the
@@ -55,12 +62,12 @@ def loop_simulate_array_equal(gph, state, max_steps, stop_on=None, history_cap=d
             else:
                 traj.truncated = True
         if not traj.locked:
-            groups, stop = dynamics._observe(traj, k, x, state.confidence_bound, groups, stop_on)
+            groups = dynamics._observe(traj, k, x, state.confidence_bound, groups)
             if traj.lock_k == k:
                 traj.lock_state = x.copy()
             if traj.epochs[-1].k_start == k:
                 avg = dynamics._averaging(gph, traj.epochs[-1].mask)
-            if stop:
+            if stop_on == "lock" and traj.locked:
                 break
         if isinstance(stop_on, tuple) and traj.locked:
             if x_inf is None:
@@ -154,7 +161,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
         traj.events.append(dynamics.Event(0, "lock"))
 
     recent = deque([(0, tuple(y), denom)], maxlen=window + 1)
-    if dynamics._check_stop(stop_on, traj.locked):  # a lock at step 0 stops before any update
+    if stop_on == "lock" and traj.locked:  # a lock at step 0 stops before any update
         traj.exact_window = list(recent)
         return traj
     neigh = None
@@ -190,7 +197,7 @@ def loop_simulate_exact(gph, opinions, confidence_bound, max_steps, stop_on=None
             traj.lock_state = project(y, denom)
             traj.events.append(dynamics.Event(k, "lock"))
 
-        if dynamics._check_stop(stop_on, traj.locked):
+        if stop_on == "lock" and traj.locked:
             break
     else:
         if stop_on is not None:
@@ -227,7 +234,7 @@ def reference_diff_events(k, gph, old, new, prev_labels):
     return events
 
 
-def reference_observe(traj, k, z, limit, groups, stop_on):
+def reference_observe(traj, k, z, limit, groups):
     """``dynamics._observe`` before its shortcuts: the link mask compared by
     ``np.array_equal`` and the full hull lock test at every step."""
     gph = traj.gph
@@ -244,7 +251,7 @@ def reference_observe(traj, k, z, limit, groups, stop_on):
     if reference_lock_holds(np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts), limit):
         traj.lock_k = k
         traj.events.append(dynamics.Event(k, "lock"))
-    return groups, dynamics._check_stop(stop_on, traj.locked)
+    return groups
 
 
 def power_apply(rows, v, p):
@@ -440,6 +447,14 @@ class TestSimulateEvents:
         with pytest.raises(TypeError):
             dynamics.simulate(path_graph(4), s, 10.5)
         assert dynamics.simulate(path_graph(4), s, np.int64(3)).n_steps == 3
+
+    @pytest.mark.parametrize("x0, max_steps, exc_type, message", [
+        ([-1.0, 0.0, 1.0, -0.75], 0, ValueError, "max_steps must be >= 1"),
+        ([-1.0, 0.0, 1.0], 10, DimensionMismatch, "state has 3 opinions, graph has 4 vertices"),
+    ], ids=["no-step", "dimension"])
+    def test_argument_refusals(self, x0, max_steps, exc_type, message, monkeypatch):
+        monkeypatch.setattr(dynamics, "_observe", None)  # refused before any step
+        assert_refused(exc_type, message, dynamics.simulate, path_graph(4), OpinionState(x0, 1.0), max_steps)
 
     def test_stop_on_lock(self):
         s = OpinionState([-1.0, 0.0, 1.0, -0.75], 1.0)
@@ -982,6 +997,18 @@ class TestEnergyCertificates:
         assert not rep.ok
         assert (1, "monotone") in [v[:2] for v in rep.violations]
 
+    def test_a_flat_state_before_a_break_fails_the_break_clauses(self):
+        # with recorded state 0 flat, step 0 starts from no active energy and
+        # sheds none (its energy rises), and no neighbor pair is strained
+        # before the break at k = 1
+        g, x0 = star_with_tail()
+        traj = dynamics.simulate(g, x0, 40)
+        assert [e.k for e in traj.events_of("link_break")] == [1]
+        traj.states[0] = np.full(g.n, traj.states[0].mean())
+        clauses = [v[:2] for v in dynamics.verify_energy_certificates(traj).violations]
+        for clause in [(0, "break_decrement"), (0, "break_active_floor"), (1, "break_witness")]:
+            assert clause in clauses
+
     def test_report_flags_a_history_cap_prefix(self):
         st = sampling.narrow_spread(4, 1.0, 0.0, 0.5, seed=3)
         capped = dynamics.simulate(path_graph(4), st, 10_000, history_cap=100)
@@ -1281,6 +1308,27 @@ class TestExactEngine:
         with pytest.raises(TypeError):
             dynamics.simulate_exact(path_graph(4), [-1, 0, 1, -0.75], 1.0, 10.5)
         assert dynamics.simulate_exact(path_graph(4), [-1, 0, 1, -0.75], 1.0, np.int64(3)).n_steps == 3
+
+    @pytest.mark.parametrize("x0, bound, max_steps, stop_on, exc_type, message", [
+        ([-1, 0, 1, -0.75], 1.0, 0, None, ValueError, "max_steps must be >= 1"),
+        ([-1, 0, 1, -0.75], 1.0, 10, ("eps", 1e-3), ValueError,
+         "distance-based stops are a float-engine feature; use stop_on in {None, 'lock', 'termination'} here"),
+        ([-1, 0, 1], 1.0, 10, None, DimensionMismatch, "state has 3 opinions, graph has 4 vertices"),
+        ([-1, 0, 1, -0.75], 0, 10, None, ValueError, "confidence bound must be positive"),
+        ([-1, 0, 1, -0.75], Fraction(-1, 2), 10, None, ValueError, "confidence bound must be positive"),
+        ([-1, 0, 1, -0.75], 1.0, 10, "bogus", ValueError, "unknown stop condition 'bogus'"),
+    ], ids=["no-step", "tuple-stop", "dimension", "zero-bound", "negative-bound", "unknown-stop"])
+    def test_argument_refusals(self, x0, bound, max_steps, stop_on, exc_type, message, monkeypatch):
+        monkeypatch.setattr(dynamics, "_averaging", None)  # refused before any step
+        assert_refused(exc_type, message, dynamics.simulate_exact, path_graph(4), x0, bound, max_steps,
+                       stop_on=stop_on)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_is_refused(self, value):
+        assert_refused(ValueError, "opinions must be finite",
+                       dynamics.simulate_exact, path_graph(3), [0, value, 0.2], 1.0, 5)
+        assert_refused(ValueError, "confidence bound must be finite and positive",
+                       dynamics.simulate_exact, path_graph(3), [0, 0.1, 0.2], value, 5)
 
     def test_matches_float_on_eventful_run(self):
         s = [-1.0, 0.0, 1.0, -0.75]

@@ -482,6 +482,11 @@ class TestJson:
         with pytest.raises(GraphFormatError, match="self-loop"):
             graphs.graph_from_json('{"n": 2, "edges": [[1, 1]]}')
 
+    @pytest.mark.parametrize("edges", ["5", "null", "{}"])
+    def test_rejects_edges_that_are_no_list(self, edges):
+        with pytest.raises(GraphFormatError, match="'edges' must be a list"):
+            graphs.graph_from_json(f'{{"n": 3, "edges": {edges}}}')
+
     def test_rejects_malformed(self):
         with pytest.raises(GraphFormatError):
             graphs.graph_from_json("{not json")
