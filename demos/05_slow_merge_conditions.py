@@ -48,4 +48,5 @@ print(f"  rates {res.mu}, even weights {res.alpha}, odd weights {res.zeta}")
 print(f"  window sum at k=2: {res.even_sum(2)} (matches the direct sum)")
 
 floor = sm.sign_ratio_floor(np.array([[1.0], [0.0], [-2.0]]), 3)
-print(f"  sign-ratio floor of span([1,0,-2]) on a 3-window: {floor.value} (exact={floor.exact})")
+print(f"  sign-ratio floor of span([1,0,-2]) on a 3-window, one LP per window entry: "
+      f"{floor.value} (exact={floor.exact})")

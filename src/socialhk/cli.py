@@ -82,15 +82,17 @@ def _parse_graph(source: str) -> graphs.Graph:
 
 def _parse_kv(arg: str) -> dict:
     out = {}
-    if arg:
-        for item in arg.split(","):
-            key, _, val = item.partition("=")
-            if not _:
-                raise UsageError(f"expected key=value, got {item!r}")
-            try:
-                out[key.strip()] = float(val)
-            except ValueError:
-                raise UsageError(f"expected a number in {item!r}") from None
+    for item in arg.split(",") if arg else ():
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise UsageError(f"expected key=value, got {item!r}")
+        if key in out:
+            raise UsageError(f"key {key!r} given twice in {arg!r}")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise UsageError(f"expected a number in {item!r}") from None
     return out
 
 
@@ -117,8 +119,8 @@ def _parse_x0(source: str, n: int, bound: float, seed) -> dynamics.OpinionState:
             raise UsageError(f"cannot read initial state from {source!r}: {exc}") from None
     elif name == "four-path":
         kv = _parse_kv(arg)
-        if "delta" not in kv:
-            raise UsageError("four-path needs delta=<value>")
+        if set(kv) != {"delta"}:
+            raise UsageError(f"four-path takes delta=<value> and no other key, got {arg!r}")
         vals = slowmerge.four_path_family(kv["delta"], bound)[0].opinions
     elif name in ("narrow-spread", "uniform-box"):
         if seed is None:

@@ -621,12 +621,15 @@ def _locked_power(neigh, components, y, p) -> list:
 
 
 def _fraction(v, message) -> Fraction:
-    """``v`` as a Fraction, never through a float; +-inf and NaN raise
-    ValueError(``message``)."""
+    """``v`` as a Fraction, never through a float; +-inf, NaN and a value
+    past the float range raise ValueError(``message``): the trajectory
+    records floats, and every later state lies in the hull of the first."""
     try:
         if v == v:  # NaN is the one value unequal to itself
-            return Fraction(v)
-    except OverflowError:  # +-inf has no integer ratio
+            f = Fraction(v)
+            float(f)
+            return f
+    except OverflowError:  # +-inf has no integer ratio, 10**400 no float
         pass
     raise ValueError(message)
 
@@ -685,7 +688,7 @@ def simulate_exact(
     fracs = [_fraction(v, "opinions must be finite") for v in opinions]
     max_steps = _check_run(gph, len(fracs), max_steps, stop_on)
     bound = _fraction(confidence_bound, "confidence bound must be finite and positive")
-    if bound <= 0:
+    if float(bound) <= 0:  # a bound below the float range rounds to 0
         raise ValueError("confidence bound must be positive")
 
     denom = math.lcm(*(f.denominator for f in fracs))

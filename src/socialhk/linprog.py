@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for small exact feasibility and margin problems.
+"""Dense two-phase simplex for small feasibility, margin and largest-entry problems.
 
 Solves  min c.x  subject to  A x = b, x >= 0  on problems with at most a few
 dozen variables.  Bland's anti-cycling rule makes every pivot choice
@@ -37,17 +37,17 @@ def _pivot(tableau, obj, basis, row, col):
     return obj
 
 
-def _run_simplex(tableau, obj, basis, tol):
-    """Iterate Bland pivots until no reduced cost exceeds tol.
+def _run_simplex(tableau, obj, basis):
+    """Iterate Bland pivots until no reduced cost exceeds PIVOT_TOL.
 
     ``obj`` holds z_j - c_j in its leading columns and -objective in its last
-    entry; minimization is optimal when all z_j - c_j <= tol.
+    entry; minimization is optimal when all z_j - c_j <= PIVOT_TOL.
     """
     n_cols = tableau.shape[1] - 1
     while True:
         entering = -1
         for j in range(n_cols):
-            if obj[j] > tol:
+            if obj[j] > PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -56,10 +56,10 @@ def _run_simplex(tableau, obj, basis, tol):
         best = None
         for i in range(tableau.shape[0]):
             a = tableau[i, entering]
-            if a > tol:
+            if a > PIVOT_TOL:
                 ratio = tableau[i, -1] / a
-                if best is None or ratio < best - tol or (
-                    abs(ratio - best) <= tol and basis[i] < basis[leaving]
+                if best is None or ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL and basis[i] < basis[leaving]
                 ):
                     best = ratio
                     leaving = i
@@ -68,7 +68,7 @@ def _run_simplex(tableau, obj, basis, tol):
         obj = _pivot(tableau, obj, basis, leaving, entering)
 
 
-def solve_lp(c, a_eq, b_eq, tol: float = PIVOT_TOL) -> LPResult:
+def solve_lp(c, a_eq, b_eq) -> LPResult:
     """Minimize c.x subject to a_eq x = b_eq, x >= 0."""
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -88,15 +88,15 @@ def solve_lp(c, a_eq, b_eq, tol: float = PIVOT_TOL) -> LPResult:
     obj[:n] = tableau[:, :n].sum(axis=0)
     obj[-1] = tableau[:, -1].sum()
 
-    obj, bounded = _run_simplex(tableau, obj, basis, tol)
-    if not bounded or obj[-1] > tol:
+    obj, bounded = _run_simplex(tableau, obj, basis)
+    if not bounded or obj[-1] > PIVOT_TOL:
         return LPResult(INFEASIBLE, None, None)
 
     # Drive any lingering artificial out of the basis, dropping redundant rows.
     keep_rows = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if abs(tableau[i, j]) > tol), None)
+            col = next((j for j in range(n) if abs(tableau[i, j]) > PIVOT_TOL), None)
             if col is None:
                 continue  # redundant constraint
             obj = _pivot(tableau, obj, basis, i, col)
@@ -110,7 +110,7 @@ def solve_lp(c, a_eq, b_eq, tol: float = PIVOT_TOL) -> LPResult:
         obj += cost[bi] * tableau[i]
     obj[:n] -= cost
 
-    obj, bounded = _run_simplex(tableau, obj, basis, tol)
+    obj, bounded = _run_simplex(tableau, obj, basis)
     if not bounded:
         return LPResult(UNBOUNDED, None, None)
     x = np.zeros(n)
@@ -119,7 +119,7 @@ def solve_lp(c, a_eq, b_eq, tol: float = PIVOT_TOL) -> LPResult:
     return LPResult(OPTIMAL, x, float(cost @ x))
 
 
-def max_min_margin(columns: np.ndarray, tol: float = PIVOT_TOL):
+def max_min_margin(columns: np.ndarray):
     """Largest t such that some combination v of the columns (coefficients
     bounded by 1 in infinity norm) satisfies v_i <= -t on every row.
 
@@ -143,14 +143,14 @@ def max_min_margin(columns: np.ndarray, tol: float = PIVOT_TOL):
     b[rows:] = 1.0
     cost = np.zeros(n_var)
     cost[2 * dim] = -1.0
-    res = solve_lp(cost, a, b, tol)
+    res = solve_lp(cost, a, b)
     if res.status != OPTIMAL:
         return 0.0, np.zeros(dim)
     coeff = res.x[:dim] - res.x[dim : 2 * dim]
     return float(res.x[2 * dim]), coeff
 
 
-def nonneg_nonzero_vector(columns: np.ndarray, tol: float = PIVOT_TOL):
+def nonneg_nonzero_vector(columns: np.ndarray):
     """A nonzero, componentwise-nonnegative vector in the span of the columns,
     or None when the span meets the nonnegative orthant only at 0.
 
@@ -170,7 +170,19 @@ def nonneg_nonzero_vector(columns: np.ndarray, tol: float = PIVOT_TOL):
     a[rows, 2 * dim :] = 1.0
     b[rows] = 1.0
     cost = np.zeros(n_var)
-    res = solve_lp(cost, a, b, tol)
+    res = solve_lp(cost, a, b)
     if res.status != OPTIMAL:
         return None
     return res.x[2 * dim :]
+
+
+def max_entry(columns: np.ndarray, i: int) -> float:
+    """Largest entry i of a combination v of the columns with every entry
+    v_j >= -1, or inf when it grows without bound (the span then holds a
+    nonzero vector that is nonnegative on every row)."""
+    rows, dim = columns.shape
+    # Variables: cp(dim), cm(dim), s(rows); constraints B c - s = -1.
+    a = np.hstack([columns, -columns, -np.eye(rows)])
+    cost = np.concatenate([-columns[i], columns[i], np.zeros(rows)])
+    res = solve_lp(cost, a, -np.ones(rows))
+    return -res.objective if res.status == OPTIMAL else np.inf

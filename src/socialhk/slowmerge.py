@@ -12,8 +12,9 @@ induced subgraphs admit certain sign patterns.  This module provides:
 * the necessary condition on boundary-restricted eigenspaces (a nonzero
   one-signed boundary vector for some eigenvalue in (0,1)), decided by LP
   feasibility in the float simplex of ``linprog``;
-* the sign-ratio machinery (window ratios, their floor over an eigenspace,
-  the perturbation-persistence check) and the parity elimination of signed
+* the sign-ratio machinery (window ratios, their exact floor over an
+  eigenspace from one LP per window entry in the same simplex, the
+  perturbation-persistence check) and the parity elimination of signed
   geometric rates that powers the necessity argument;
 * an exhaustive verifier that complete multipartite graphs admit no slow
   merging across any split, run once per orbit of the part symmetries.
@@ -43,7 +44,7 @@ from .errors import (
     ZeroOnWindow,
 )
 from .graphs import Graph, complete_r_partite, induced_subgraph
-from .linprog import max_min_margin, nonneg_nonzero_vector
+from .linprog import max_entry, max_min_margin, nonneg_nonzero_vector
 
 EIG_TOL = 1e-9
 MARGIN_TOL = 1e-9
@@ -329,13 +330,12 @@ def mixed_sign_ratio(v, l: int) -> SignRatio:
 
 @dataclass(frozen=True)
 class SignRatioFloor:
-    """Lower bound on the window sign ratio over a subspace.
+    """The least window sign ratio over the nonzero vectors of a subspace.
 
-    ``exact`` marks the one-dimensional case; otherwise ``value`` is the
-    minimum over a seeded sample of the unit sphere and only estimates the
-    floor from above.  ``same_sign_exists`` short-circuits everything: the
-    space contains a nonzero vector that is one-signed (or zero) on the
-    window, so no positive floor exists.
+    ``same_sign_exists``: the space holds a nonzero vector that is
+    one-signed (or zero) on the window, so no positive floor exists and
+    ``value`` is None.  Otherwise ``value`` is the floor, which a vector of
+    the space attains, and ``exact`` is True (it is False only with None).
     """
 
     value: float | None
@@ -343,43 +343,25 @@ class SignRatioFloor:
     same_sign_exists: bool
 
 
-_FLOOR_SAMPLES = 10_000
-_FLOOR_SEED = 20_240_601
-
-
 def sign_ratio_floor(basis: np.ndarray, l: int) -> SignRatioFloor:
+    """Floor of the ratio on the first ``l`` coordinates over the span of
+    the columns of ``basis``.
+
+    Past the same-sign tests every vector v of the span has mixed signs on
+    the window, and v and -v have ratios a and 1/a for a = |min|/max, so the
+    floor is the least a: 1 / the largest window entry of a span vector
+    whose window entries are all >= -1, one ``max_entry`` LP per entry.  The
+    window's full rank and the lack of a one-signed vector bound each LP.
+    """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
-    dim = basis.shape[1]
     window = basis[:l, :]
-
-    if np.linalg.matrix_rank(window, tol=1e-12) < dim:
+    if np.linalg.matrix_rank(window, tol=1e-12) < basis.shape[1]:
         return SignRatioFloor(None, False, True)  # some vector vanishes on the window
     if nonneg_nonzero_vector(window) is not None:
         return SignRatioFloor(None, False, True)
-
-    if dim == 1:
-        return SignRatioFloor(mixed_sign_ratio(basis[:, 0], l).value, True, False)
-
-    rng = np.random.Generator(np.random.Philox(_FLOOR_SEED))
-    n_global = int(0.8 * _FLOOR_SAMPLES)
-    coeffs = rng.normal(size=(n_global, dim))
-    coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-    best_val, best_c = np.inf, None
-    for c in coeffs:
-        val = mixed_sign_ratio(window @ c, l).value
-        if val < best_val:
-            best_val, best_c = val, c
-    radius = 0.5
-    for c in rng.normal(size=(_FLOOR_SAMPLES - n_global, dim)):
-        cand = best_c + radius * c / np.linalg.norm(c)
-        cand /= np.linalg.norm(cand)
-        val = mixed_sign_ratio(window @ cand, l).value
-        if val < best_val:
-            best_val, best_c = val, cand
-            radius = max(radius * 0.9, 1e-3)
-    return SignRatioFloor(float(best_val), False, False)
+    return SignRatioFloor(1.0 / max(max_entry(window, i) for i in range(len(window))), True, False)
 
 
 @dataclass(frozen=True)
@@ -563,12 +545,12 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
     return spaces
 
 
-def _column_space(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _column_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, deterministic signs."""
-    if mat.size == 0 or np.max(np.abs(mat)) <= tol:
+    if mat.size == 0 or np.max(np.abs(mat)) <= 1e-9:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > 1e-9 * s[0]))
     return np.column_stack([spectral._sign_normalize(u[:, c]) for c in range(rank)])
 
 

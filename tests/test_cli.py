@@ -483,6 +483,17 @@ class TestExitCodes:
         assert run(["--seed", "1", "--out", str(tmp_path), "simulate", *argv]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("x0, message", [
+        ("four-path:delta=0.1,dleta=3", "four-path takes delta=<value> and no other key"),
+        ("four-path:delta=0.1,delta=0.2", "key 'delta' given twice"),
+        ("narrow-spread:center=0,width=0.5,width=0.2", "key 'width' given twice"),
+        ("uniform-box:lo=0,hi=1,lo=0.5", "key 'lo' given twice"),
+    ], ids=["four-path-unknown", "four-path-twice", "narrow-spread-twice", "uniform-box-twice"])
+    def test_unknown_or_repeated_keys_are_usage_errors(self, x0, message, tmp_path, capsys):
+        argv = ["--seed", "1", "--out", str(tmp_path), "simulate", "--graph", "path:4", "--x0", x0]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
     @pytest.mark.parametrize("edges", ["5", "null", "{}"])
     def test_graph_file_whose_edges_are_no_list_is_an_input_error(self, edges, tmp_path, capsys):
         gpath = tmp_path / "g.json"

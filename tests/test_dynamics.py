@@ -1330,6 +1330,19 @@ class TestExactEngine:
         assert_refused(ValueError, "confidence bound must be finite and positive",
                        dynamics.simulate_exact, path_graph(3), [0, 0.1, 0.2], value, 5)
 
+    @pytest.mark.parametrize("opinions, bound, message", [
+        ([10**400, 10**400], 1, "opinions must be finite"),
+        ([0, Fraction(1, 3)], 10**400, "confidence bound must be finite and positive"),
+        ([0, 1], Fraction(1, 10**400), "confidence bound must be positive"),
+    ], ids=["huge-opinion", "huge-bound", "tiny-bound"])
+    def test_input_past_the_float_range_is_refused(self, opinions, bound, message):
+        assert_refused(ValueError, message, dynamics.simulate_exact, path_graph(2), opinions, bound, 3)
+
+    def test_input_near_the_float_range_runs(self):
+        traj = dynamics.simulate_exact(path_graph(2), [Fraction(1, 10**400), 10**300], 10**301, 3)
+        assert traj.confidence_bound == 1e301
+        assert traj.states[0].tolist() == [0.0, 1e300] and traj.states[1].tolist() == [5e299, 5e299]
+
     def test_matches_float_on_eventful_run(self):
         s = [-1.0, 0.0, 1.0, -0.75]
         tf = dynamics.simulate(path_graph(4), OpinionState(s, 1.0), 30)

@@ -5,6 +5,7 @@ from socialhk.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    max_entry,
     max_min_margin,
     nonneg_nonzero_vector,
     solve_lp,
@@ -97,3 +98,15 @@ class TestNonnegVector:
             b = nonneg_nonzero_vector(-cols) is not None
             c = nonneg_nonzero_vector(cols * np.array([1.0, -1.0])) is not None
             assert a == b == c
+
+
+class TestMaxEntry:
+    def test_one_column(self):
+        # v = c (1, 0, -2) with v >= -1 means -1 <= c <= 1/2
+        col = np.array([[1.0], [0.0], [-2.0]])
+        assert [max_entry(col, i) for i in range(3)] == pytest.approx([0.5, 0.0, 2.0], abs=1e-12)
+
+    def test_unbounded_when_a_nonnegative_vector_exists(self):
+        cols = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        assert max_entry(cols, 1) == np.inf
+        assert max_entry(cols, 0) == pytest.approx(1.0, abs=1e-12)

@@ -226,12 +226,57 @@ class TestSignRatios:
         rng = philox(137)
         basis = np.array([[1.0, 0.3], [-1.0, 0.5], [0.2, -1.0], [0.1, 0.4]])
         f = sm.sign_ratio_floor(basis, 4)
-        if f.same_sign_exists:
-            pytest.skip("sampled space admits a one-signed vector")
+        assert f.value == pytest.approx(5 / 12, rel=1e-9) and f.exact
         for _ in range(1000):
             c = rng.normal(size=2)
             c /= np.linalg.norm(c)
             assert f.value <= sm.mixed_sign_ratio(basis @ c, 4).value + 1e-12
+
+    def test_floor_pinned_basis(self):
+        # c = (-17, -33, 21) gives the window (-1, -1, -1, 147)
+        basis = np.array([[2.0, -1, 0], [-4, 4, 3], [-1, -2, -4], [-3, -1, 3]])
+        assert sm.mixed_sign_ratio(basis @ [-17, -33, 21], 4).value == 1 / 147
+        f = sm.sign_ratio_floor(basis, 4)
+        assert f.value == pytest.approx(1 / 147, rel=1e-9) and f.exact
+        assert not f.same_sign_exists
+
+    def test_floor_over_a_corpus(self):
+        rng = philox(2025)
+        mixed = 0
+        for _ in range(300):
+            dim = int(rng.integers(1, 4))
+            l = int(rng.integers(dim + 1, 7))
+            basis = rng.integers(-4, 5, size=(l + int(rng.integers(0, 3)), dim)).astype(float)
+            window = basis[:l]
+            f = sm.sign_ratio_floor(basis, l)
+            same = (np.linalg.matrix_rank(window, tol=1e-12) < dim
+                    or sm.nonneg_nonzero_vector(window) is not None)
+            assert f.same_sign_exists == same
+            if same:
+                assert f.value is None and not f.exact
+                continue
+            mixed += 1
+            assert f.exact and f.value == pytest.approx(floor_by_vertices(window), rel=1e-9)
+            for c in rng.normal(size=(50, dim)):
+                assert f.value <= sm.mixed_sign_ratio(basis @ c, l).value * (1 + 1e-9)
+            if dim == 1:
+                assert f.value == pytest.approx(sm.mixed_sign_ratio(basis[:, 0], l).value, rel=1e-9)
+        assert mixed >= 100
+
+
+def floor_by_vertices(window):
+    """The window sign-ratio floor by brute force: 1 / the largest entry of
+    W c over the vertices of the polytope W c >= -1, each the solution of
+    dim of its rows held tight."""
+    rows, dim = window.shape
+    top = 0.0
+    for tight in itertools.combinations(range(rows), dim):
+        sub = window[list(tight)]
+        if abs(np.linalg.det(sub)) > 1e-9:
+            v = window @ np.linalg.solve(sub, -np.ones(dim))
+            if v.min() >= -1 - 1e-9:
+                top = max(top, v.max())
+    return 1 / top
 
 
 class TestSignPersistence:
