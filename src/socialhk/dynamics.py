@@ -215,7 +215,7 @@ class Trajectory:
     termination_k: int | None = None
     truncated: bool = False      # states stop before n_steps: history_cap, or an exact run's jump
     is_exact: bool = False
-    exact_window: list = field(default_factory=list)  # [(k, numerators, denominator)]
+    exact_window: list = field(default_factory=list)  # [(k, numerators, denominator)], consecutive k
     exact_jump: tuple | None = None  # (k_from, k_to) computed as one power of the locked update
 
     @property
@@ -634,6 +634,14 @@ def _fraction(v, message) -> Fraction:
     raise ValueError(message)
 
 
+def _over_lcm(ratios) -> tuple:
+    """(numerators, denominator) of ``(numerator, denominator)`` pairs put
+    over their least common denominator."""
+    ratios = list(ratios)
+    m = math.lcm(*{q for _, q in ratios})  # a float run's are few powers of two
+    return [p * (m // q) for p, q in ratios], m
+
+
 def simulate_exact(
     gph: Graph,
     opinions,
@@ -691,8 +699,7 @@ def simulate_exact(
     if float(bound) <= 0:  # a bound below the float range rounds to 0
         raise ValueError("confidence bound must be positive")
 
-    denom = math.lcm(*(f.denominator for f in fracs))
-    y = [int(f * denom) for f in fracs]
+    y, denom = _over_lcm(f.as_integer_ratio() for f in fracs)
     bp, bq = bound.numerator, bound.denominator
 
     def project(yv, m):
@@ -770,7 +777,8 @@ def simulate_exact(
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Per-component consensus values of a locked trajectory."""
+    """Per-component consensus values of a locked trajectory;
+    ``exact_values`` holds them as Fractions, for exact runs only."""
 
     components: tuple
     values: tuple
@@ -784,30 +792,28 @@ def steady_state(traj: Trajectory) -> SteadyState:
 
     While the influence graph is constant, the degree-weighted opinion sum of
     each component is conserved by every step, so the limit of the averaging
-    is the weighted mean frozen at lock time.  Its sum is a correctly rounded
-    ``math.fsum``, so the value does not depend on the BLAS build.
+    is the weighted mean frozen at lock time.  Both engines form it from
+    integers over one denominator: an exact run's last exact state (never
+    before the lock), a float run's ``lock_state`` read exactly through
+    ``float.as_integer_ratio``.  Each value is the correctly rounded mean, so
+    it does not depend on the BLAS build or on a summation order.
     """
     if not traj.locked:
         raise NotLocked("steady state requires a locked trajectory")
     k = traj.lock_k
     ig = traj.influence_graph_at(k)
-    deg = ig.graph.degrees
-
-    exact_vals, values = [], []
+    deg = ig.graph.degrees.tolist()
+    if traj.is_exact:
+        _, numer, m = traj.exact_window[-1]
+    else:
+        numer, m = _over_lcm(map(float.as_integer_ratio, traj.lock_state.tolist()))
+    means = [Fraction(sum(deg[v] * numer[v] for v in comp), sum(deg[v] for v in comp) * m)
+             for comp in ig.components]
+    values = tuple(map(float, means))  # a Fraction's float is correctly rounded
     x_inf = np.zeros(traj.gph.n)
-    for comp in map(list, ig.components):
-        weight = int(deg[comp].sum())
-        if traj.exact_window:
-            # the last exact state is never before the lock, and the graph is
-            # frozen from the lock on, so its weighted sums are those at the lock
-            _, numer, m = traj.exact_window[-1]
-            exact_vals.append(Fraction(sum(int(deg[v]) * numer[v] for v in comp), weight * m))
-            val = float(exact_vals[-1])
-        else:
-            val = math.fsum(deg[comp] * traj.lock_state[comp]) / weight
-        values.append(val)
-        x_inf[comp] = val
-    return SteadyState(ig.components, tuple(values), k, x_inf, tuple(exact_vals))
+    for comp, val in zip(ig.components, values):
+        x_inf[list(comp)] = val
+    return SteadyState(ig.components, values, k, x_inf, tuple(means) if traj.is_exact else ())
 
 
 def _component_spectra(ig: InfluenceGraph) -> list:
@@ -897,9 +903,10 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
     """Geometric-mean per-step decay of the distance to the limit, measured
     over the final ``window`` steps.
 
-    Exact trajectories measure in integer arithmetic, from each locked
-    component's conserved weighted sum (the ratio is formed before any float
-    conversion, so underflow cannot corrupt it).  Float trajectories use
+    Exact trajectories measure in integer arithmetic, the last state and the
+    one ``window`` steps before it against each locked component's weighted
+    sum at the last (the ratio is formed before any float conversion, so
+    underflow cannot corrupt it).  Float trajectories use
     recorded states above the rounding floor, and raise HistoryTruncated
     when ``history_cap`` dropped the last states, as the ratio of a prefix
     is not the tail's.
@@ -907,40 +914,27 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
     if window < 1:
         raise ValueError("window must be >= 1")
     if traj.is_exact:
-        entries = {e[0]: e for e in traj.exact_window}
-        ks = sorted(entries)
-        if len(ks) < window + 1:
+        if len(traj.exact_window) < window + 1:
             raise ValueError("exact window shorter than the measurement window")
-        k_hi, k_lo = ks[-1], ks[-1] - window
         if not ss.exact_values:
             raise ValueError("steady state lacks exact values")
-        # A component of weight W (its closed degrees summed) whose weighted
-        # numerator sum at k_hi is S has the limit S / (W m_hi), so at k_hi
-        # W m_hi (y_v / m_hi - limit) = W y_v - S.  At k_lo, m_hi = q m_lo;
-        # with g = gcd(q, every S) and f = q / g, W f m_lo (y_v / m_lo - limit)
-        # = W f y_v - S / g.  The squared distances, summed with weights
-        # L / W^2 for L the lcm of the W^2, are thus A_hi / (L m_hi^2) and
-        # A_lo / (L f^2 m_lo^2), and their ratio A_hi / (A_lo g^2).  Past the
-        # lock the graph conserves every S up to the scale, so g = q, f = 1.
+        # The window holds consecutive steps.  A component of weight W (its
+        # closed degrees summed) whose numerator sum at the last step is S
+        # has the limit S / (W m_hi), so at a step of denominator
+        # m = m_hi / q, W m_hi (y_v / m - limit) = W q y_v - S.  The squared
+        # distance to the limits is those squares summed with weights L / W^2,
+        # for L the lcm of the W^2, over L m_hi^2, which cancels in the ratio.
         ig = traj.influence_graph_at(traj.lock_k)
         deg = ig.graph.degrees.tolist()
-        comps = [(c, sum(deg[v] for v in c)) for c in ig.components]
-        scale = math.lcm(*(w * w for _, w in comps))
-        (_, y_hi, m_hi), (_, y_lo, m_lo) = entries[k_hi], entries[k_lo]
-        sums = [sum(deg[v] * y_hi[v] for v in c) for c, _ in comps]
-        q = m_hi // m_lo
-        g = math.gcd(q, *sums)
+        (_, y_hi, m_hi), (_, y_lo, m_lo) = traj.exact_window[-1], traj.exact_window[-1 - window]
+        comps = [(c, sum(deg[v] for v in c), sum(deg[v] * y_hi[v] for v in c)) for c in ig.components]
+        scale = math.lcm(*(w * w for _, w, _ in comps))
 
-        def spread(y, f, sums):
-            total = 0
-            for (c, w), s in zip(comps, sums):
-                wf = w * f
-                total += scale // (w * w) * sum((d := wf * y[v] - s) * d for v in c)
-            return total
+        def spread(y, q):
+            return sum(scale // (w * w) * sum((w * q * y[v] - s) ** 2 for v in c) for c, w, s in comps)
 
         # int true division rounds the exact ratio correctly
-        ratio = spread(y_hi, 1, sums) / (spread(y_lo, q // g, [s // g for s in sums]) * g * g)
-        return ratio ** (1.0 / (2 * window))
+        return (spread(y_hi, 1) / spread(y_lo, m_hi // m_lo)) ** (1.0 / (2 * window))
 
     if traj.truncated:
         raise HistoryTruncated(f"states {len(traj.states)}..{traj.n_steps} were not recorded")

@@ -14,7 +14,6 @@ read-only because every caller shares them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -152,11 +151,13 @@ class NonterminationCertificate:
     linear map A = D^{-1} A_adj, which is diagonalizable: x_k = x_inf +
     sum over eigenvalues lambda of lambda^k part_lambda.  The run terminates
     iff every part with lambda not 0 or 1 is zero, that is iff x_1 = A x_0 is
-    constant (the graph is connected).  ``certified`` decides that from one
-    exact step over the dyadic rationals the floats are, so it covers weight
-    on any non-zero, non-unit eigenvalue, at every scale of the state and the
-    bound, with no tolerance.  ``c2_magnitude``, the float weight on the
-    second-largest-|lambda| level, and ``lambda2_abs`` are diagnostics.
+    constant (the graph is connected).  ``certified`` is the exact engine's
+    termination test two steps out: the run locks at step 0 with every link
+    live and terminates at step 0 or 1 exactly when x_0 or x_1 is constant.
+    So it covers weight on any non-zero, non-unit eigenvalue, at every scale
+    of the state and the bound, with no tolerance.  ``c2_magnitude``, the
+    float weight on the second-largest-|lambda| level, and ``lambda2_abs``
+    are diagnostics.
     """
 
     certified: bool
@@ -175,12 +176,9 @@ def nontermination_certificate(g: Graph, opinions: np.ndarray, confidence_bound:
     spread = float(np.max(x0) - np.min(x0))
     if spread >= confidence_bound:
         raise SpreadTooLarge(f"spread {spread} must be < {confidence_bound}")
-    # one exact step: each closed neighbourhood's sum over its size
-    x, sums = [Fraction(v) for v in x0.tolist()], [Fraction(0)] * g.n
-    tgt, nbr = g.entries[:2]
-    for t, s in zip(tgt.tolist(), nbr.tolist()):
-        sums[t] += x[s]
-    certified = len({total / d for total, d in zip(sums, g.degrees.tolist())}) > 1
+    from .dynamics import simulate_exact  # dynamics imports this module
+
+    certified = simulate_exact(g, x0.tolist(), confidence_bound, 2).termination_k is None
     dec = decompose(g)
     coeffs = np.linalg.solve(dec.eigenvectors, x0)
     lam2 = dec.second_largest_abs()

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from socialhk import graphs, slowmerge, spectral
 from socialhk.graphs import Graph
+
+# the package's memo caches, taken before any test can patch the names
+_CACHES = (spectral.decompose, graphs.diameter, slowmerge._side_spectrum, slowmerge._rational_eigenspace)
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -25,3 +29,12 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: fl
 @pytest.fixture
 def rng():
     return philox(12345)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def cold_caches():
+    """Empty the memo caches after each test module, so no later module (the
+    bench's tests among them) finds them warm and skips the calls it counts."""
+    yield
+    for cached in _CACHES:
+        cached.cache_clear()

@@ -42,6 +42,17 @@ def reference_write_tables(traj, out, fmt):
         fh.write(table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)]))
 
 
+class TestAtomicWrite:
+    def test_a_failing_writer_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "k,x_1\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli._atomic_write(str(tmp_path / "out" / "trajectory.csv"), chunks())
+        assert os.listdir(tmp_path / "out") == []  # no target and no .tmp- file
+
+
 class TestSimulateCommand:
     def test_four_path_outputs(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -493,6 +504,29 @@ class TestExitCodes:
         argv = ["--seed", "1", "--out", str(tmp_path), "simulate", "--graph", "path:4", "--x0", x0]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--graph", "foo:3", "--x0", "0,0,0"], "unknown graph constructor"),
+        (["simulate", "--graph", "path:3", "--x0", "0,0.5,x"], "cannot parse initial state"),
+        (["simulate", "--graph", "path:3", "--x0", "bogus:1"], "unknown initial-state source"),
+        (["--seed", "1", "simulate", "--graph", "path:3", "--x0", "narrow-spread:width"], "expected key=value"),
+        (["check-merge", "--graph", "path:4", "--vp", "1,a", "--vq", "4"], "cannot parse vertex list"),
+        # a dict is written as the sweep's config file; None names no file
+        (["sweep", "--config", None], "cannot read config"),
+        (["sweep", "--config", {"graph": "path:4", "R": 1.0, "deltas": [0.1], "split": 5}], "must be an object"),
+        (["sweep", "--config", {"graph": "path:4", "R": 1.0, "seeds": [1]}], "needs a 'sampler' section"),
+        (["sweep", "--config", {"graph": "path:4", "R": 1.0}], "needs either"),
+    ], ids=["graph", "x0-list", "x0-source", "x0-key", "vertex-list", "no-config", "split",
+            "no-sampler", "no-deltas-or-seeds"])
+    def test_refusals_name_their_cause(self, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for a in argv:
+            if isinstance(a, dict):
+                cfg.write_text(json.dumps(a))
+        argv = [str(cfg) if a is None or isinstance(a, dict) else a for a in argv]
+        assert run(["--out", str(tmp_path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err, err
 
     @pytest.mark.parametrize("edges", ["5", "null", "{}"])
     def test_graph_file_whose_edges_are_no_list_is_an_input_error(self, edges, tmp_path, capsys):

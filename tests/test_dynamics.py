@@ -462,6 +462,13 @@ class TestSimulateEvents:
         assert traj.lock_k == 2
         assert traj.n_steps == 2
 
+    def test_stop_on_eps_at_the_lock_state(self):
+        # the lock state at step 0 is already within eps of its limit, so the
+        # run ends there, neither stepping nor exhausting its budget
+        st = sampling.narrow_spread(12, 1.0, 0.0, 0.6, seed=3)
+        traj = dynamics.simulate(graphs.cycle_graph(12), st, 50, stop_on=("eps", 1.0))
+        assert (traj.n_steps, len(traj.states), [e.kind for e in traj.events]) == (0, 1, ["lock"])
+
     def test_stop_on_eps(self):
         s = OpinionState([0.1, 0.0, -0.1], 1.0)
         traj = dynamics.simulate(path_graph(3), s, 200, stop_on=("eps", 1e-3))
@@ -1044,6 +1051,36 @@ class TestSteadyState:
         s = OpinionState([-1.0, 0.0, 1.0, -0.75], 1.0)
         with pytest.raises(NotLocked):
             dynamics.steady_state(dynamics.simulate(path_graph(4), s, 1))
+
+    def test_float_value_is_the_correctly_rounded_mean(self):
+        # math.fsum of the rounded products deg * x reads -0x1.ced7593fd41dcp-8, 7 ulps off
+        traj = dynamics.simulate(graphs.cycle_graph(12), sampling.narrow_spread(12, 1.0, 0.0, 0.6, seed=7), 10)
+        assert dynamics.steady_state(traj).values == (float.fromhex("-0x1.ced7593fd41d5p-8"),)
+
+    def test_float_values_are_the_correctly_rounded_means(self):
+        # narrow spreads lock into one component at step 0; blocks of a path
+        # or cycle 3 apart lock into one per block, lone vertices among them
+        rng = philox(2718)
+        runs = []
+        for seed in range(1, 11):
+            for name, n in (("cycle", 48), ("path", 40), ("dumbbell", 16)):
+                g = graphs.standard_graph(name, n)
+                runs.append(dynamics.simulate(g, sampling.narrow_spread(g.n, 1.0, 0.0, 0.6, seed), 20))
+            sizes = rng.integers(1, 7, int(rng.integers(2, 5)))
+            x0 = np.concatenate([3.0 * b + rng.uniform(-0.4, 0.4, size) for b, size in enumerate(sizes)])
+            g = graphs.cycle_graph(len(x0)) if seed % 2 and len(x0) > 2 else path_graph(len(x0))
+            runs.append(dynamics.simulate(g, OpinionState(x0, 1.0), 20))
+        seen = Counter()
+        for traj in runs:
+            ss = dynamics.steady_state(traj)
+            deg = traj.influence_graph_at(traj.lock_k).graph.degrees.tolist()
+            for comp, val in zip(ss.components, ss.values):
+                mean = sum(Fraction(traj.lock_state[v]) * deg[v] for v in comp) / sum(deg[v] for v in comp)
+                assert val == float(mean) and np.all(ss.x_inf[list(comp)] == val), (traj.gph, comp)
+            assert ss.exact_values == ()
+            seen["values"] += len(ss.values)
+            seen["several_components"] += len(ss.components) > 1
+        assert seen["values"] >= 50 and seen["several_components"] == 10, seen
 
     def test_hull_containment(self):
         rng = philox(67)
@@ -1664,3 +1701,37 @@ class TestExactTailRatio:
             seen["several_components"] += len(ss.components) > 1
             seen["lock_in_window"] += traj.lock_k > traj.exact_window[-51][0]
         assert seen["ratios"] >= 20 and seen["several_components"] >= 5 and seen["lock_in_window"] >= 1, seen
+
+    @pytest.mark.parametrize("window", [0, 5, 60])
+    def test_matches_the_distance_sums_at_other_windows(self, window):
+        # runs that jump, runs that do not, and a path:6 run whose last link
+        # breaks at step 16, inside a 50-step measurement window
+        cases = [(path_graph(3), [0.1, 0.0, -0.1], 600), (path_graph(4), [0.0, 0.1, 0.2, 0.3], 600),
+                 (path_graph(6), [1.24, 0.56, 1.59, 1.93, 0.24, 0.43], 60)]
+        cases += [(g, x0, 40) for g, x0 in exact_corpus()[:12]]
+        seen = Counter()
+        for g, x0, budget in cases:
+            traj = dynamics.simulate_exact(g, x0, 1.0, budget, window=window)
+            if not traj.locked:
+                continue
+            ss = dynamics.steady_state(traj)
+            for measured in (1, 5, 50):
+                if len(traj.exact_window) < measured + 1:
+                    with pytest.raises(ValueError, match="exact window shorter"):
+                        dynamics.tail_decay_ratio(traj, ss, measured)
+                    seen["refused"] += 1
+                    continue
+                try:
+                    want = reference_tail_decay_ratio(traj, ss, measured)
+                except ZeroDivisionError:
+                    continue
+                assert dynamics.tail_decay_ratio(traj, ss, measured) == want, (g, x0, budget, measured)
+                seen["ratios"] += 1
+                seen["jumped"] += traj.exact_jump is not None
+                seen["link_change_in_window"] += traj.epochs[-1].k_start > traj.exact_window[-1 - measured][0]
+        if window == 0:
+            assert seen["ratios"] == 0 and seen["refused"] >= 30, seen
+        else:
+            assert seen["ratios"] >= 20 and seen["jumped"] >= 2, seen
+        if window == 60:
+            assert seen["link_change_in_window"] >= 1, seen

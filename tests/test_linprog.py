@@ -73,8 +73,17 @@ class TestMargin:
         assert t > 0.5
         assert np.all(v <= -t + 1e-9)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_no_columns_or_no_rows(self, shape):
+        t, coeff = max_min_margin(np.zeros(shape))
+        assert t == 0.0 and np.array_equal(coeff, np.zeros(shape[1]))
+
 
 class TestNonnegVector:
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_no_columns_or_no_rows(self, shape):
+        assert nonneg_nonzero_vector(np.zeros(shape)) is None
+
     def test_antisymmetric_span_empty(self):
         assert nonneg_nonzero_vector(np.array([[1.0], [0.0], [-1.0]])) is None
 

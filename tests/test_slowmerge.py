@@ -215,6 +215,10 @@ class TestSignRatios:
         f = sm.sign_ratio_floor(np.array([[1.0], [0.0], [-2.0]]), 3)
         assert f.value == pytest.approx(0.5) and f.exact
 
+    def test_floor_of_a_one_dimensional_basis_is_its_column_form(self):
+        for vec in ([1.0, 0.0, -2.0], [3.0, -1.0, 0.5, 4.0], [1.0, 2.0, 3.0]):
+            assert sm.sign_ratio_floor(np.array(vec), 3) == sm.sign_ratio_floor(np.array(vec)[:, None], 3)
+
     def test_floor_same_sign_short_circuits(self):
         f = sm.sign_ratio_floor(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 3)
         assert f.same_sign_exists and f.value is None

@@ -195,6 +195,12 @@ class TestNonterminationCertificate:
         with pytest.raises(PreconditionViolated):
             spectral.nontermination_certificate(complete_graph(3), np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_non_finite_bound_is_refused(self, bound):
+        # the exact engine's refusal, as OpinionState's
+        with pytest.raises(ValueError, match="confidence bound must be finite and positive"):
+            spectral.nontermination_certificate(path_graph(3), np.array([0.1, 0.0, -0.1]), bound)
+
 
 class TestRPartiteEigenbasis:
     def test_parts_1_2(self):
