@@ -86,6 +86,7 @@ _CELLS = 4096  # float cells per block of output or energy rows (_row_blocks)
 _BLOCK = 64  # float steps per block of a frozen influence graph (_step_rows)
 _QUIET = 8  # unlocked float steps without a link change before stepping in blocks
 EXACT_WINDOW = 60
+ENERGY_TOL = 1e-9  # absolute slack of every clause of verify_energy_certificates
 
 
 @dataclass(frozen=True)
@@ -906,8 +907,8 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
     Exact trajectories measure in integer arithmetic, the last state and the
     one ``window`` steps before it against each locked component's weighted
     sum at the last (the ratio is formed before any float conversion, so
-    underflow cannot corrupt it).  Float trajectories use
-    recorded states above the rounding floor, and raise HistoryTruncated
+    underflow cannot corrupt it).  Float trajectories use recorded
+    states above the floor 1e-13 max|x_0|, and raise HistoryTruncated
     when ``history_cap`` dropped the last states, as the ratio of a prefix
     is not the tail's.
     """
@@ -939,7 +940,7 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
     if traj.truncated:
         raise HistoryTruncated(f"states {len(traj.states)}..{traj.n_steps} were not recorded")
     dists = [float(np.linalg.norm(s - ss.x_inf)) for s in traj.states]
-    floor = 1e-13 * max(1.0, float(np.max(np.abs(traj.states[0]))))
+    floor = 1e-13 * float(np.max(np.abs(traj.states[0])))
     good = [d for d in dists if d > floor]
     if len(good) < window + 1:
         raise ValueError("not enough resolvable distances for the window")
@@ -964,7 +965,7 @@ class EnergyReport:
     truncated: bool = False
 
 
-def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyReport:
+def verify_energy_certificates(traj: Trajectory) -> EnergyReport:
     """Check every step of a float trajectory against the descent inequalities.
 
     (a) energy never increases; (b) the decrement is at least
@@ -1001,18 +1002,18 @@ def verify_energy_certificates(traj: Trajectory, tol: float = 1e-9) -> EnergyRep
             e_k, act_k = energies[k]
             e_next, _ = energies[k + 1]
             dec = e_k - e_next
-            if e_next > e_k + tol:
+            if e_next > e_k + ENERGY_TOL:
                 violations.append((k, "monotone", f"E rose by {e_next - e_k:.3e}"))
-            if dec < gap * act_k - tol:
+            if dec < gap * act_k - ENERGY_TOL:
                 violations.append((k, "decrement_vs_active", f"{dec:.3e} < {gap * act_k:.3e}"))
-            if d_eff >= 1 and gap < floor - tol:
+            if d_eff >= 1 and gap < floor - ENERGY_TOL:
                 violations.append((k, "spectral_gap_floor", f"{gap:.3e} < {floor:.3e}"))
 
             broke = breaks_by_step.get(k + 1, [])
             if broke:
-                if dec < bound**2 / (2 * n**3) - tol:
+                if dec < bound**2 / (2 * n**3) - ENERGY_TOL:
                     violations.append((k, "break_decrement", f"{dec:.3e}"))
-                if act_k <= bound**2 / 3 - tol:
+                if act_k <= bound**2 / 3 - ENERGY_TOL:
                     violations.append((k, "break_active_floor", f"{act_k:.3e}"))
                 x_k = traj.states[k]
                 for i, j in broke:

@@ -46,8 +46,8 @@ from .errors import (
 from .graphs import Graph, complete_r_partite, induced_subgraph
 from .linprog import max_entry, max_min_margin, nonneg_nonzero_vector
 
-EIG_TOL = 1e-9
 MARGIN_TOL = 1e-9
+SCAN_CAP = 12
 
 SUFFICIENT_HOLDS = "sufficient_holds"
 SUFFICIENT_FAILS = "sufficient_fails"
@@ -125,7 +125,6 @@ class MergeVerdict:
     records: tuple = ()
 
 
-@lru_cache(maxsize=4096)
 def _rational_eigenspace(g: Graph, lam_float: float):
     """Exact eigenpair when the eigenvalue is a small rational.
 
@@ -135,7 +134,7 @@ def _rational_eigenspace(g: Graph, lam_float: float):
     irrational eigenvalues return None and callers keep the float basis.
     """
     lam = Fraction(lam_float).limit_denominator(10_000)
-    if abs(float(lam) - lam_float) > 1e-9:
+    if abs(float(lam) - lam_float) > spectral.CLUSTER_TOL:
         return None
     n = g.n
     deg = g.degrees.tolist()
@@ -247,7 +246,7 @@ def sufficient_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
     records = []
     hit = None
     for lam, basis in clusters:
-        if not EIG_TOL < lam < 1.0 - EIG_TOL:
+        if not spectral.CLUSTER_TOL < lam < 1.0 - spectral.CLUSTER_TOL:
             continue
         exact = _rational_eigenspace(sub, lam)
         if exact is not None:
@@ -347,11 +346,11 @@ def sign_ratio_floor(basis: np.ndarray, l: int) -> SignRatioFloor:
     """Floor of the ratio on the first ``l`` coordinates over the span of
     the columns of ``basis``.
 
-    Past the same-sign tests every vector v of the span has mixed signs on
-    the window, and v and -v have ratios a and 1/a for a = |min|/max, so the
-    floor is the least a: 1 / the largest window entry of a span vector
-    whose window entries are all >= -1, one ``max_entry`` LP per entry.  The
-    window's full rank and the lack of a one-signed vector bound each LP.
+    One ``max_entry`` LP per entry: the largest window entry of a span
+    vector whose window entries are all >= -1, unbounded exactly when the
+    span holds a nonzero window vector >= 0.  Else, the window being of full
+    rank, every span vector v has mixed signs there, v and -v have ratios a
+    and 1/a for a = |min|/max, and the floor is the least a: 1 / that entry.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim == 1:
@@ -359,9 +358,10 @@ def sign_ratio_floor(basis: np.ndarray, l: int) -> SignRatioFloor:
     window = basis[:l, :]
     if np.linalg.matrix_rank(window, tol=1e-12) < basis.shape[1]:
         return SignRatioFloor(None, False, True)  # some vector vanishes on the window
-    if nonneg_nonzero_vector(window) is not None:
+    top = max(max_entry(window, i) for i in range(len(window)))
+    if top == np.inf:
         return SignRatioFloor(None, False, True)
-    return SignRatioFloor(1.0 / max(max_entry(window, i) for i in range(len(window))), True, False)
+    return SignRatioFloor(1.0 / top, True, False)
 
 
 @dataclass(frozen=True)
@@ -516,15 +516,15 @@ def _side_spectrum(gph: Graph, vertices: tuple) -> tuple:
     clusters = []
     for cluster in dec.clusters:
         lam = float(dec.eigenvalues[cluster[0]])
-        if abs(lam - 1.0) > EIG_TOL:
+        if abs(lam - 1.0) > spectral.CLUSTER_TOL:
             clusters.append((lam, dec.eigenvectors[:, list(cluster)]))
     return sub, {v: k for k, v in enumerate(vs)}, tuple(clusters)
 
 
 def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
     """Boundary-restricted eigenspaces for every non-unit eigenvalue of the
-    two induced subgraphs, merged across sides within 1e-9 and rank-reduced.
-    Ordered by descending eigenvalue."""
+    two induced subgraphs, merged across sides by ``spectral``'s cluster
+    rule and rank-reduced.  Ordered by descending eigenvalue."""
     if split.b == 0:
         raise NoBoundary("split has no boundary edges")
     contributions = []
@@ -536,10 +536,9 @@ def boundary_eigenspaces(gph: Graph, split: SplitSpec) -> list:
         rows = [local[p] for p in positions]
         contributions.extend((lam, vecs[rows]) for lam, vecs in clusters)
 
-    contributions.sort(key=lambda t: -t[0])
     lams = [lam for lam, _ in contributions]
     spaces = []
-    for cl in spectral._cluster(lams, EIG_TOL):
+    for cl in spectral._value_clusters(lams):
         joint = np.hstack([contributions[i][1] for i in cl])
         spaces.append(BoundaryEigenspace(lams[cl[0]], _column_space(joint)))
     return spaces
@@ -551,7 +550,7 @@ def _column_space(mat: np.ndarray) -> np.ndarray:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > 1e-9 * s[0]))
-    return np.column_stack([spectral._sign_normalize(u[:, c]) for c in range(rank)])
+    return spectral._sign_normalize(u[:, :rank])
 
 
 def necessary_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
@@ -566,7 +565,7 @@ def necessary_check(gph: Graph, split: SplitSpec) -> MergeVerdict:
     records = []
     hit = None
     for sp in spaces:
-        if not EIG_TOL < sp.eigenvalue < 1.0 - EIG_TOL:
+        if not spectral.CLUSTER_TOL < sp.eigenvalue < 1.0 - spectral.CLUSTER_TOL:
             continue
         dim = sp.basis.shape[1]
         witness = nonneg_nonzero_vector(sp.basis) if dim else None
@@ -597,17 +596,17 @@ class NoSlowMergeReport:
         return not self.holds
 
 
-def rpartite_no_slow_merge(spec, max_n: int = 12) -> NoSlowMergeReport:
+def rpartite_no_slow_merge(spec) -> NoSlowMergeReport:
     """Run the necessary check on every ordered pair of disjoint nonempty
     vertex sets of a complete multipartite graph joined by at least one edge,
     once per orbit of the part symmetries (see ``_split_orbits``).
 
     Complete multipartite graphs admit no split where the condition holds,
     so each is expected to fail; the report lists any orbit representative
-    that held instead.
+    that held instead.  Graphs above ``SCAN_CAP`` vertices are refused.
     """
-    if spec.n > max_n:
-        raise GraphTooLarge(spec.n, max_n)
+    if spec.n > SCAN_CAP:
+        raise GraphTooLarge(spec.n, SCAN_CAP)
     return _scan(complete_r_partite(spec), _split_orbits(spec))
 
 

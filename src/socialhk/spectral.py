@@ -25,33 +25,50 @@ CLUSTER_TOL = 1e-9
 DECOMPOSE_CACHE_SIZE = 256
 
 
-def _sign_normalize(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    for x in vec:
-        if abs(x) > tol:
-            return vec if x > 0 else -vec
-    return vec
+def _sign_normalize(mat: np.ndarray) -> np.ndarray:
+    """``mat`` in C order, each column signed so its first entry above 1e-12 in size is positive."""
+    signs = [0.0] * mat.shape[1]
+    for row in mat:  # row by row: the first rows decide nearly every column
+        for c, x in enumerate(row.tolist()):
+            if not signs[c] and abs(x) > 1e-12:
+                signs[c] = 1.0 if x > 0 else -1.0
+        if all(signs):
+            break
+    return np.multiply(mat, [s or 1.0 for s in signs], order="C")
 
 
-def _cluster(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
-    """Group indices of (sorted-adjacent) equal values within ``tol``."""
+def _value_clusters(values: list) -> list[list[int]]:
+    """Indices of equal eigenvalues: from the largest value down, a cluster is
+    every value within ``CLUSTER_TOL`` of its largest, its head."""
     clusters: list[list[int]] = []
-    for idx in range(len(values)):
-        if clusters and abs(values[idx] - values[clusters[-1][0]]) <= tol:
-            clusters[-1].append(idx)
+    for i in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        if clusters and values[clusters[-1][0]] - values[i] <= CLUSTER_TOL:
+            clusters[-1].append(i)
         else:
-            clusters.append([idx])
+            clusters.append([i])
     return clusters
+
+
+def _order(values: list) -> tuple[list[int], tuple]:
+    """(order, clusters as index ranges of it) of a spectrum: clusters sort by
+    (-|head|, -head), their members by (-|lambda|, -lambda)."""
+    keys = [(-abs(v), -v) for v in values]
+    order, ranges = [], []
+    for cl in sorted(_value_clusters(values), key=lambda cl: keys[cl[0]]):
+        ranges.append(tuple(range(len(order), len(order) + len(cl))))
+        order.extend(sorted(cl, key=keys.__getitem__))
+    return order, tuple(ranges)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Real eigendecomposition of a normalized adjacency matrix.
 
-    Eigenvalues are sorted by descending absolute value, ties broken by
-    descending value; eigenvectors are unit columns with their first
-    significant entry positive.  ``clusters`` partitions indices into groups
-    of eigenvalues equal within ``CLUSTER_TOL`` (grouping by value, so +m and
-    -m land in different clusters).
+    ``clusters`` groups equal eigenvalues: from the largest value down, every
+    eigenvalue within ``CLUSTER_TOL`` of the cluster's largest (+m and -m
+    apart).  The order goes cluster by cluster, by descending |largest|, ties
+    by descending value, members likewise, so each cluster is a consecutive
+    index range.  Eigenvectors are unit columns, first significant entry > 0.
     """
 
     eigenvalues: np.ndarray
@@ -62,12 +79,6 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    def cluster_of(self, index: int) -> tuple:
-        for cl in self.clusters:
-            if index in cl:
-                return cl
-        raise IndexError(index)
 
     def eigenvalues_by_value(self) -> np.ndarray:
         return np.sort(self.eigenvalues)[::-1]
@@ -94,11 +105,9 @@ def decompose(g: Graph) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(sym)
     back = vecs / root[:, None]
     back /= np.linalg.norm(back, axis=0)
-    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))
+    order, clusters = _order(vals.tolist())
     vals = vals[order]
-    back = back[:, order]
-    back = np.column_stack([_sign_normalize(back[:, i]) for i in range(back.shape[1])])
-    clusters = tuple(tuple(cl) for cl in _cluster(vals))
+    back = _sign_normalize(back[:, order])
     for arr in (vals, back, degrees):
         arr.setflags(write=False)
     return SpectralDecomposition(vals, back, clusters, degrees)
@@ -120,7 +129,7 @@ class SpectrumReport:
         return self.top_eigenvalue_simple and self.second_abs_positive and self.has_positive_secondary
 
 
-def incomplete_spectrum_report(g: Graph, dec: SpectralDecomposition, tol: float = 1e-9) -> SpectrumReport:
+def incomplete_spectrum_report(g: Graph, dec: SpectralDecomposition) -> SpectrumReport:
     """Check that lambda_1 = 1 is simple, |lambda_2| > 0, and some other
     eigenvalue is strictly positive.
 
@@ -132,10 +141,9 @@ def incomplete_spectrum_report(g: Graph, dec: SpectralDecomposition, tol: float 
     if g.is_complete():
         raise PreconditionViolated("graph must be incomplete")
     vals = dec.eigenvalues
-    top_cluster = dec.cluster_of(0)
-    simple = len(top_cluster) == 1 and abs(vals[0] - 1.0) <= tol
-    second = abs(vals[1]) > tol if dec.n > 1 else False
-    positive = bool(np.any(vals[1:] > tol))
+    simple = len(dec.clusters[0]) == 1 and abs(vals[0] - 1.0) <= CLUSTER_TOL
+    second = abs(vals[1]) > CLUSTER_TOL if dec.n > 1 else False
+    positive = bool(np.any(vals[1:] > CLUSTER_TOL))
     return SpectrumReport(simple, second, positive)
 
 
@@ -248,21 +256,15 @@ def rpartite_eigenbasis(spec: PartiteSpec) -> RPartiteEigenbasis:
     d_b = np.sqrt(d1 * sizes)
     sym = d_b[:, None] * s * d_b[None, :]
     w_vals, w_vecs = np.linalg.eigh(sym)
-    order = sorted(range(r), key=lambda i: (-abs(w_vals[i]), -w_vals[i]))
+    order, _ = _order(w_vals.tolist())
     w_vals = w_vals[order]
     w_vecs = d_a[:, None] * w_vecs[:, order]
 
-    lifted = np.zeros((n, r))
-    for col in range(r):
-        for j, block in enumerate(parts):
-            lifted[list(block), col] = w_vecs[j, col]
-    norms = np.linalg.norm(lifted, axis=0)
-    lifted /= norms
-    lifted = np.column_stack([_sign_normalize(lifted[:, c]) for c in range(r)])
+    lifted = w_vecs[np.repeat(np.arange(r), spec.part_sizes)]  # row v: the row of v's part
+    lifted /= np.linalg.norm(lifted, axis=0)
+    lifted = _sign_normalize(lifted)
 
-    local_mat = (
-        np.column_stack(locals_) if locals_ else np.zeros((n, 0))
-    )
+    local_mat = np.column_stack(locals_) if locals_ else np.zeros((n, 0))
     return RPartiteEigenbasis(
         spec=spec,
         local_vectors=local_mat,
@@ -289,12 +291,10 @@ class RPartiteReport:
         return not self.failures
 
 
-def verify_rpartite_eigenbasis(
-    spec: PartiteSpec, basis: RPartiteEigenbasis, tol: float = 1e-9
-) -> RPartiteReport:
+def verify_rpartite_eigenbasis(spec: PartiteSpec, basis: RPartiteEigenbasis) -> RPartiteReport:
     """Check the construction against the generic matrix: residuals, sign of
     non-unit B-eigenvalues, rank, and orthogonality of lifts to difference
-    vectors."""
+    vectors, each within ``CLUSTER_TOL``."""
     if spec.n < 2:
         raise PreconditionViolated("need at least two vertices")
     a = normalized_adjacency(complete_r_partite(spec))
@@ -303,12 +303,12 @@ def verify_rpartite_eigenbasis(
     vecs = basis.all_vectors()
     vals = basis.all_eigenvalues()
     residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
-    pairs_ok = bool(np.all(residuals <= tol))
+    pairs_ok = bool(np.all(residuals <= CLUSTER_TOL))
     if not pairs_ok:
         failures.append("eigenpair residual")
 
-    nonunit = basis.b_eigenvalues[np.abs(basis.b_eigenvalues - 1.0) > tol]
-    b_ok = bool(np.all(nonunit <= tol))
+    nonunit = basis.b_eigenvalues[np.abs(basis.b_eigenvalues - 1.0) > CLUSTER_TOL]
+    b_ok = bool(np.all(nonunit <= CLUSTER_TOL))
     if not b_ok:
         failures.append("positive non-unit B eigenvalue")
 
@@ -319,7 +319,7 @@ def verify_rpartite_eigenbasis(
 
     if basis.local_vectors.shape[1]:
         dots = basis.lifted_vectors.T @ basis.local_vectors
-        ortho_ok = bool(np.max(np.abs(dots)) <= tol)
+        ortho_ok = bool(np.max(np.abs(dots)) <= CLUSTER_TOL)
     else:
         ortho_ok = True
     if not ortho_ok:

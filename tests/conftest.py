@@ -5,7 +5,7 @@ from socialhk import graphs, slowmerge, spectral
 from socialhk.graphs import Graph
 
 # the package's memo caches, taken before any test can patch the names
-_CACHES = (spectral.decompose, graphs.diameter, slowmerge._side_spectrum, slowmerge._rational_eigenspace)
+_CACHES = (spectral.decompose, graphs.diameter, slowmerge._side_spectrum)
 
 
 def philox(seed: int) -> np.random.Generator:

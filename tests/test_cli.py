@@ -308,6 +308,21 @@ class TestOtherCommands:
         assert out["sufficient"]["kind"] == "sufficient_fails"
         assert out["necessary"]["kind"] == "necessary_fails"
 
+    def test_check_merge_one_record_per_eigenvalue(self, tmp_path, capsys):
+        # cycle:16 with a pendant at vertex 1: 1/3 is a double eigenvalue of
+        # the cycle, and -1/3 sorts between its copies by absolute value
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 17, "edges": [[i, i % 16 + 1] for i in range(1, 17)] + [[1, 17]]}))
+        vp = ",".join(str(v) for v in range(1, 17))
+        assert run(["check-merge", "--graph", str(path), "--vp", vp, "--vq", "17"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sufficient"]["kind"] == "sufficient_holds"
+        lams = [r["eigenvalue"] for r in out["sufficient"]["records"]]
+        want = sorted((1 + 2 * np.cos(2 * np.pi * k / 16)) / 3 for k in range(1, 8))
+        want = [lam for lam in want[::-1] if 0 < lam < 1]
+        assert len(lams) == 5 and lams == pytest.approx(want, abs=1e-9)
+        assert [r["dim"] for r in out["sufficient"]["records"]] == [2] * 5
+
     def test_construct(self, tmp_path, capsys):
         out = str(tmp_path)
         assert run([

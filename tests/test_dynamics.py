@@ -1673,6 +1673,20 @@ class TestFloatTailRatio:
         lam2 = spectral.decompose(path_graph(3)).second_largest_abs()
         assert dynamics.tail_decay_ratio(traj, dynamics.steady_state(traj)) == pytest.approx(lam2, abs=1e-3)
 
+    def test_same_ratio_at_every_scale(self):
+        # scaling by a power of two scales every state and distance exactly,
+        # and the rounding floor scales with them
+        for name in ("path:8", "cycle:12", "star:10", "dumbbell:8"):
+            kind, n = name.split(":")
+            g = graphs.standard_graph(kind, int(n))
+            for seed in (1, 2, 3):
+                x0 = sampling.narrow_spread(g.n, 1.0, 0.0, 0.6, seed).opinions
+                ratios = set()
+                for scale in (2.0**-40, 1.0, 2.0**40):
+                    traj = dynamics.simulate(g, OpinionState(scale * x0, scale), 400)
+                    ratios.add(dynamics.tail_decay_ratio(traj, dynamics.steady_state(traj), 20))
+                assert len(ratios) == 1, (name, seed, ratios)
+
     def test_window_must_be_positive(self):
         for traj in (self.cycle_run(), dynamics.simulate_exact(path_graph(3), [0.1, 0.0, -0.1], 1.0, 600)):
             for window in (0, -1):

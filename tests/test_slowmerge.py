@@ -226,6 +226,18 @@ class TestSignRatios:
         f = sm.sign_ratio_floor(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2)
         assert f.same_sign_exists
 
+    def test_floor_decides_same_sign_from_its_lps(self, monkeypatch):
+        # an entry's LP is unbounded exactly when the span holds a nonzero
+        # window vector >= 0, so no separate same-sign test is run
+        def refuse(columns):
+            raise AssertionError("nonneg_nonzero_vector called")
+
+        monkeypatch.setattr(sm, "nonneg_nonzero_vector", refuse)
+        f = sm.sign_ratio_floor(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 3)
+        assert f == sm.SignRatioFloor(None, False, True)
+        f = sm.sign_ratio_floor(np.array([[1.0, 0.3], [-1.0, 0.5], [0.2, -1.0], [0.1, 0.4]]), 4)
+        assert f.value == pytest.approx(5 / 12, rel=1e-9) and f.exact and not f.same_sign_exists
+
     def test_floor_is_a_floor(self):
         rng = philox(137)
         basis = np.array([[1.0, 0.3], [-1.0, 0.5], [0.2, -1.0], [0.1, 0.4]])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,63 @@ def all_partitions(n):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
     yield from rec(n, n)
+
+
+def cluster_corpus():
+    """(name, graph): the standard families on 1-69 vertices, complete
+    multipartite graphs of 1-4 parts of size 1-5, and 400 random connected
+    graphs of 2-19 vertices."""
+    for name in ("cycle", "path", "star", "dumbbell", "complete"):
+        for n in range(2 if name == "dumbbell" else 1, 70):
+            yield f"{name}:{n}", graphs.standard_graph(name, n)
+    for r in range(1, 5):
+        for sizes in itertools.combinations_with_replacement(range(1, 6), r):
+            yield f"rpartite:{sizes}", complete_r_partite(PartiteSpec(sizes))
+    rng = philox(7)
+    for i in range(400):
+        n, p = int(rng.integers(2, 20)), float(rng.uniform(0.05, 0.6))
+        yield f"random{i}", random_connected_graph(rng, n, p)
+
+
+def heads_apart(vals, clusters):
+    heads = sorted(float(vals[cl[0]]) for cl in clusters)
+    return all(b - a > spectral.CLUSTER_TOL for a, b in zip(heads, heads[1:]))
+
+
+def abs_order_decompose(g):
+    """The earlier rule: sort by (-|lambda|, -lambda), sign each column, and
+    chain neighbours in that order within CLUSTER_TOL of the chain's first.
+    It splits an eigenspace when -lambda sorts between two copies of lambda."""
+    root = np.sqrt(g.degrees.astype(float))
+    vals, vecs = np.linalg.eigh(g.adjacency_matrix() / np.outer(root, root))
+    back = vecs / root[:, None]
+    back /= np.linalg.norm(back, axis=0)
+    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))
+    vals, back = vals[order], back[:, order]
+    for i in range(back.shape[1]):
+        col = back[:, i]
+        first = col[np.abs(col) > 1e-12][0]
+        back[:, i] = col if first > 0 else -col
+    clusters = []
+    for i in range(len(vals)):
+        if clusters and abs(vals[i] - vals[clusters[-1][0]]) <= spectral.CLUSTER_TOL:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return vals, back, tuple(tuple(cl) for cl in clusters)
+
+
+def exact_multiplicities(g):
+    """Sorted (eigenvalue, multiplicity) of D^-1 A_adj from sympy's factored
+    characteristic polynomial: distinct irreducible factors share no root."""
+    sympy = pytest.importorskip("sympy")
+    deg, adj = g.degrees.tolist(), g.adjacency_matrix().tolist()
+    m = sympy.Matrix(g.n, g.n, lambda i, j: sympy.Rational(int(adj[i][j]), deg[i]))
+    x = sympy.Symbol("x")
+    out = []
+    for factor, mult in sympy.factor_list(m.charpoly(x).as_expr())[1]:
+        out.extend((float(root), mult) for root in sympy.Poly(factor, x).nroots())
+    return sorted(out)
 
 
 class TestDecompose:
@@ -86,6 +145,43 @@ class TestDecompose:
     def test_clusters_group_equal_values(self):
         dec = spectral.decompose(complete_graph(4))
         assert [len(c) for c in dec.clusters] == [1, 3]
+
+    def test_cycle16_keeps_each_eigenspace_whole(self):
+        # 1/3 has multiplicity 2 and -1/3 sorts between its copies by |lambda|
+        dec = spectral.decompose(graphs.cycle_graph(16))
+        assert dec.clusters[4:6] == ((7, 8), (9,))
+        assert dec.eigenvalues[[7, 8, 9]] == pytest.approx([1 / 3, 1 / 3, -1 / 3], abs=1e-12)
+
+    def test_cluster_heads_lie_apart_on_a_corpus(self):
+        for name, g in cluster_corpus():
+            dec = spectral.decompose(g)
+            assert heads_apart(dec.eigenvalues, dec.clusters), name
+            assert [i for cl in dec.clusters for i in cl] == list(range(g.n)), name
+
+    def test_bit_equal_to_the_abs_order_rule_where_it_keeps_eigenspaces_whole(self):
+        whole = 0
+        for name, g in cluster_corpus():
+            vals, vecs, clusters = abs_order_decompose(g)
+            if not heads_apart(vals, clusters):
+                continue
+            whole += 1
+            dec = spectral.decompose(g)
+            assert dec.eigenvalues.tobytes() == vals.tobytes(), name
+            assert dec.eigenvectors.tobytes() == vecs.tobytes(), name
+            assert dec.clusters == clusters, name
+        assert whole >= 800  # the copy splits 25 of the 869 under numpy 2.4
+
+    @pytest.mark.parametrize("spec", ["rpartite:2,2", "rpartite:1,2,2", "rpartite:2,2,2",
+                                      "cycle:8", "cycle:12", "cycle:16"])
+    def test_cluster_sizes_are_exact_multiplicities(self, spec):
+        name, _, arg = spec.partition(":")
+        sizes = tuple(int(s) for s in arg.split(","))
+        g = complete_r_partite(PartiteSpec(sizes)) if name == "rpartite" else graphs.cycle_graph(sizes[0])
+        exact = exact_multiplicities(g)
+        dec = spectral.decompose(g)
+        got = sorted((float(dec.eigenvalues[cl[0]]), len(cl)) for cl in dec.clusters)
+        assert [m for _, m in got] == [m for _, m in exact]
+        assert [v for v, _ in got] == pytest.approx([v for v, _ in exact], abs=1e-9)
 
     def test_cached_and_read_only(self):
         dec = spectral.decompose(graphs.cycle_graph(9))
