@@ -844,7 +844,8 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     checked directly and the result is the smallest N.
 
     Raises HistoryTruncated when the answer needs pre-lock states that
-    ``history_cap`` dropped.
+    ``history_cap`` dropped, and EpsTooSmall when the tail bound stays at or
+    above eps for 10,000,000 steps past lock.
     """
     eps_list = eps if isinstance(eps, list) else [eps]
     if not all(e > 0 for e in eps_list):  # NaN too
@@ -878,7 +879,7 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
             lo, hi = 1, 2
             while tail(hi) >= e:
                 if hi >= 10_000_000:
-                    raise RuntimeError("tail bound failed to reach eps within iteration cap")
+                    raise EpsTooSmall(f"tail bound does not reach eps={e!r} within 10,000,000 steps")
                 lo, hi = hi, 2 * hi
             while hi - lo > 1:
                 mid = (lo + hi) // 2

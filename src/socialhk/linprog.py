@@ -27,34 +27,29 @@ class LPResult:
     objective: float | None
 
 
-def _pivot(tableau, obj, basis, row, col):
+def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
     for r in range(tableau.shape[0]):
         if r != row and abs(tableau[r, col]) > 0:
             tableau[r] -= tableau[r, col] * tableau[row]
-    obj -= obj[col] * tableau[row]
     basis[row] = col
-    return obj
 
 
-def _run_simplex(tableau, obj, basis):
-    """Iterate Bland pivots until no reduced cost exceeds PIVOT_TOL.
+def _run_simplex(tableau, basis):
+    """Iterate Bland pivots until no reduced cost exceeds PIVOT_TOL; False
+    when the objective is unbounded.
 
-    ``obj`` holds z_j - c_j in its leading columns and -objective in its last
-    entry; minimization is optimal when all z_j - c_j <= PIVOT_TOL.
+    The last row holds z_j - c_j in its leading columns and -objective in its
+    last entry; minimization is optimal when all z_j - c_j <= PIVOT_TOL.
     """
-    n_cols = tableau.shape[1] - 1
+    obj = tableau[-1]
     while True:
-        entering = -1
-        for j in range(n_cols):
-            if obj[j] > PIVOT_TOL:
-                entering = j
-                break
+        entering = next((j for j in range(len(obj) - 1) if obj[j] > PIVOT_TOL), -1)
         if entering < 0:
-            return obj, True
+            return True
         leaving = -1
         best = None
-        for i in range(tableau.shape[0]):
+        for i in range(len(basis)):
             a = tableau[i, entering]
             if a > PIVOT_TOL:
                 ratio = tableau[i, -1] / a
@@ -64,8 +59,8 @@ def _run_simplex(tableau, obj, basis):
                     best = ratio
                     leaving = i
         if leaving < 0:
-            return obj, False
-        obj = _pivot(tableau, obj, basis, leaving, entering)
+            return False
+        _pivot(tableau, basis, leaving, entering)
 
 
 def solve_lp(c, a_eq, b_eq) -> LPResult:
@@ -82,14 +77,14 @@ def solve_lp(c, a_eq, b_eq) -> LPResult:
     b[flip] *= -1.0
 
     # Phase 1: artificials with unit cost.
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    basis = [n + i for i in range(m)]
+    rows = np.hstack([a, np.eye(m), b[:, None]])
     obj = np.zeros(n + m + 1)
-    obj[:n] = tableau[:, :n].sum(axis=0)
-    obj[-1] = tableau[:, -1].sum()
+    obj[:n] = rows[:, :n].sum(axis=0)
+    obj[-1] = rows[:, -1].sum()
+    tableau = np.vstack([rows, obj])
+    basis = [n + i for i in range(m)]
 
-    obj, bounded = _run_simplex(tableau, obj, basis)
-    if not bounded or obj[-1] > PIVOT_TOL:
+    if not _run_simplex(tableau, basis) or tableau[-1, -1] > PIVOT_TOL:
         return LPResult(INFEASIBLE, None, None)
 
     # Drive any lingering artificial out of the basis, dropping redundant rows.
@@ -99,19 +94,19 @@ def solve_lp(c, a_eq, b_eq) -> LPResult:
             col = next((j for j in range(n) if abs(tableau[i, j]) > PIVOT_TOL), None)
             if col is None:
                 continue  # redundant constraint
-            obj = _pivot(tableau, obj, basis, i, col)
+            _pivot(tableau, basis, i, col)
         keep_rows.append(i)
-    tableau = tableau[keep_rows][:, list(range(n)) + [n + m]]
+    rows = tableau[keep_rows][:, list(range(n)) + [n + m]]
     basis = [basis[i] for i in keep_rows]
 
     # Phase 2 objective row.
     obj = np.zeros(n + 1)
     for i, bi in enumerate(basis):
-        obj += cost[bi] * tableau[i]
+        obj += cost[bi] * rows[i]
     obj[:n] -= cost
+    tableau = np.vstack([rows, obj])
 
-    obj, bounded = _run_simplex(tableau, obj, basis)
-    if not bounded:
+    if not _run_simplex(tableau, basis):
         return LPResult(UNBOUNDED, None, None)
     x = np.zeros(n)
     for i, bi in enumerate(basis):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -126,59 +125,57 @@ class MergeVerdict:
 
 
 def _rational_eigenspace(g: Graph, lam_float: float):
-    """Exact eigenpair when the eigenvalue is a small rational.
+    """Exact eigenpair when the eigenvalue is rational, in Python integers.
 
-    The normalized adjacency matrix is rational, so rational eigenvalues
-    admit exact eigenspaces by Fraction elimination.  Snapping to them keeps
-    constructed states (and hence merge times) exact at every precision;
-    irrational eigenvalues return None and callers keep the float basis.
+    With L the lcm of the closed degrees, L D^-1 (A + I) is an integer matrix
+    with a monic characteristic polynomial, so every rational eigenvalue is
+    mu / L for an integer mu (rational root theorem).  The one candidate is
+    the integer nearest L * lam_float, kept within ``spectral.CLUSTER_TOL``;
+    its eigenspace is the nullspace of L D^-1 (A + I) - mu I by fraction-free
+    Gauss-Jordan elimination, as the primitive integer vectors of the reduced
+    echelon basis.  Snapping keeps constructed states (and merge times)
+    exact; irrational eigenvalues return None and callers keep the float basis.
     """
-    lam = Fraction(lam_float).limit_denominator(10_000)
-    if abs(float(lam) - lam_float) > spectral.CLUSTER_TOL:
-        return None
     n = g.n
     deg = g.degrees.tolist()
-    adj = g.adjacency_matrix().tolist()
-    m = [
-        [
-            (Fraction(1, deg[i]) if adj[i][j] else Fraction(0))
-            - (lam if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # Fraction RREF to extract the nullspace.
+    big = math.lcm(*deg)
+    num, den = lam_float.as_integer_ratio()
+    mu = (2 * big * num + den) // (2 * den)  # nearest integer to big * lam_float
+    if abs(mu / big - lam_float) > spectral.CLUSTER_TOL:
+        return None
+    m = [[big // deg[i] - mu if j == i else 0 for j in range(n)] for i in range(n)]
+    for i, j in zip(g.src.tolist(), g.dst.tolist()):
+        m[i][j], m[j][i] = big // deg[i], big // deg[j]
     pivots = []
-    row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+        row = len(pivots)
+        pivot = next((r for r in range(row, n) if m[r][col]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
+        p = m[row][col]
         for r in range(n):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            q = m[r][col]
+            if r != row and q:
+                new = [p * a - q * b for a, b in zip(m[r], m[row])]
+                g_row = math.gcd(*new) or 1  # a row that vanishes stays zero
+                m[r] = [x // g_row for x in new]
         pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -m[r][f]
-        denom = math.lcm(*[x.denominator for x in vec])
-        ints = [x * denom for x in vec]
-        g_all = 0
-        for x in ints:
-            g_all = math.gcd(g_all, abs(int(x)))
-        basis.append(np.array([float(x / g_all) for x in ints]))
-    return float(lam), np.column_stack(basis)
+    for f in (c for c in range(n) if c not in pivots):
+        # entry f is 1 and entry c of pivot row r is -r[f] / r[c]: put them
+        # over their least common denominator, then divide by the gcd
+        pairs = list(zip(m, pivots))
+        denom = math.lcm(1, *[r[c] // math.gcd(r[f], r[c]) for r, c in pairs])
+        vec = [0] * n
+        vec[f] = denom
+        for r, c in pairs:
+            vec[c] = -r[f] * denom // r[c]
+        g_all = math.gcd(*vec)
+        basis.append(np.array([float(x // g_all) for x in vec]))
+    if not basis:
+        return None
+    return mu / big, np.column_stack(basis)
 
 
 # -- the 4-path family -------------------------------------------------------
@@ -213,14 +210,14 @@ def _built_gap(bound: float, delta: float) -> float:
 def _geometric_hitting_time(start: float, rate: float, target: float) -> int:
     """Smallest k >= 1 with start * rate^k <= target, evaluated in the same
     float arithmetic the simulator uses (repeated multiplication, so powers
-    of two stay exact)."""
+    of two stay exact); refuses a target not reached in 10,000,000 steps."""
     t = start
     k = 0
     while t > target:
         t *= rate
         k += 1
         if k > 10_000_000:
-            raise RuntimeError("hitting time exceeds iteration cap")
+            raise DeltaOutOfRange(f"gap {target!r} is not reached at rate {rate!r} within 10,000,000 steps")
     return k
 
 
@@ -351,11 +348,14 @@ def sign_ratio_floor(basis: np.ndarray, l: int) -> SignRatioFloor:
     span holds a nonzero window vector >= 0.  Else, the window being of full
     rank, every span vector v has mixed signs there, v and -v have ratios a
     and 1/a for a = |min|/max, and the floor is the least a: 1 / that entry.
+    The window is first scaled by the power of two that puts its largest
+    |entry| in [1, 2), so the tolerances see the same numbers at any scale.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
     window = basis[:l, :]
+    window = np.ldexp(window, 1 - np.frexp(np.max(np.abs(window), initial=0.0))[1])
     if np.linalg.matrix_rank(window, tol=1e-12) < basis.shape[1]:
         return SignRatioFloor(None, False, True)  # some vector vanishes on the window
     top = max(max_entry(window, i) for i in range(len(window)))

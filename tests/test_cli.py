@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -308,6 +310,17 @@ class TestOtherCommands:
         assert out["sufficient"]["kind"] == "sufficient_fails"
         assert out["necessary"]["kind"] == "necessary_fails"
 
+    def test_check_merge_on_cycle_256_halves_is_quick(self, capsys):
+        # the contracting side is path:128; only eigenvalues on the grid
+        # mu / 6 are eliminated exactly, so no irrational one is
+        start = time.perf_counter()
+        assert run(["check-merge", "--graph", "cycle:256",
+                    "--vp", ",".join(map(str, range(1, 129))), "--vq", ",".join(map(str, range(129, 257)))]) == 0
+        assert time.perf_counter() - start < 5.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sufficient"]["kind"] == "sufficient_holds"
+        assert out["necessary"]["kind"] == "necessary_holds"
+
     def test_check_merge_one_record_per_eigenvalue(self, tmp_path, capsys):
         # cycle:16 with a pendant at vertex 1: 1/3 is a double eigenvalue of
         # the cycle, and -1/3 sorts between its copies by absolute value
@@ -377,6 +390,21 @@ class TestOtherCommands:
         assert [(r["row"], r["first_merge"], r["error"]) for r in rows[:1]] == [("0", "2", "")]
         assert rows[1]["delta"] == repr(refused) and rows[1]["first_merge"] == ""
         assert rows[1]["error"].startswith("delta")
+
+    def test_sweep_keeps_its_rows_when_a_merge_time_is_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        # at a rate of 1 - 2^-30, delta 0.4999 of v0 = 0.5 takes about 2e5
+        # steps and delta 0.25 about 7.4e8, past the 10,000,000-step cap
+        check = slowmerge.sufficient_check
+        monkeypatch.setattr(slowmerge, "sufficient_check",
+                            lambda g, split: dataclasses.replace(check(g, split), eigenvalue=1 - 2.0**-30))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:4", "R": 1.0, "deltas": [0.4999, 0.25], "max_steps": 20,
+                                   "split": {"vp": [1, 2, 3], "vq": [4]}}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 2
+        assert "numerical failure: row 1: gap " in capsys.readouterr().err
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        assert rows[0]["error"] == "" and int(rows[0]["predicted_merge"]) > 10**5
+        assert rows[1]["error"].startswith("gap ") and rows[1]["predicted_merge"] == ""
 
     def test_sweep_seeds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -596,6 +624,14 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run(["--out", str(tmp_path), "sweep", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_eps_the_tail_bound_never_reaches_is_a_numerical_failure(self, tmp_path, capsys):
+        # the lambda = 1 cluster keeps a rounding-size weight, so the tail
+        # bound stays above 1e-20 past the 10,000,000-step cap
+        argv = ["--seed", "3", "--out", str(tmp_path), "simulate", "--graph", "path:4",
+                "--x0", "narrow-spread:center=0,width=0.6", "--max-steps", "50", "--eps", "1e-20"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: tail bound does not reach eps=1e-20")
 
     @pytest.mark.parametrize("argv", [
         ["check-merge", "--graph", "path:4", "--vp", "1,2", "--vq", "2,3"],

@@ -1151,6 +1151,16 @@ class TestEpsConvergence:
             with pytest.raises(EpsTooSmall):
                 dynamics.eps_convergence_time(traj, ss, eps)
 
+    def test_eps_below_the_rounding_floor_is_refused(self):
+        # the lambda = 1 cluster keeps a rounding-size weight at lock, so the
+        # tail bound never falls below 1e-20 within the step cap
+        traj = dynamics.simulate(path_graph(4), OpinionState([0.1, 0.2, 0.3, 0.4], 1.0), 50)
+        ss = dynamics.steady_state(traj)
+        assert dynamics.eps_convergence_time(traj, ss, 1e-6) > 0
+        for eps in (1e-20, [1e-6, 1e-20]):
+            with pytest.raises(EpsTooSmall, match="within 10,000,000 steps"):
+                dynamics.eps_convergence_time(traj, ss, eps)
+
     def test_list_form_matches_single_calls(self):
         # a cycle (repeated eigenvalues) and a run locked into two components
         # at step 0, whose tail sums over both

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from socialhk import dynamics, graphs, slowmerge as sm
+from socialhk import dynamics, graphs, slowmerge as sm, spectral
 from socialhk.errors import (
     DeltaOutOfRange,
     DeltaTooLarge,
@@ -122,6 +124,64 @@ class TestSufficientCheck:
             sm.sufficient_check(g, split)
 
 
+def small_corpus():
+    """(name, graph) on at most 12 vertices: the standard families, complete
+    multipartite graphs and 40 random connected graphs."""
+    for name in ("path", "cycle", "star", "complete", "dumbbell"):
+        for n in range(3 if name == "cycle" else 2, 13):
+            yield f"{name}:{n}", graphs.standard_graph(name, n)
+    for sizes in ((2, 2), (1, 2, 2), (2, 2, 2), (1, 3), (2, 3, 4), (3, 3)):
+        yield f"rpartite:{sizes}", complete_r_partite(PartiteSpec(sizes))
+    rng = philox(28)
+    for i in range(40):
+        n, p = int(rng.integers(2, 13)), float(rng.uniform(0.05, 0.6))
+        yield f"random{i}", random_connected_graph(rng, n, p)
+
+
+def sympy_rational_eigenspaces(g):
+    """{rational eigenvalue: basis} of D^-1 A_adj from sympy: the root of each
+    linear factor of the characteristic polynomial, with the columns of
+    ``Matrix.nullspace`` scaled to coprime integers."""
+    sympy = pytest.importorskip("sympy")
+    deg, adj = g.degrees.tolist(), g.adjacency_matrix().tolist()
+    m = sympy.Matrix(g.n, g.n, lambda i, j: sympy.Rational(int(adj[i][j]), deg[i]))
+    x = sympy.Symbol("x")
+    out = {}
+    for factor, _ in sympy.factor_list(m.charpoly(x).as_expr())[1]:
+        poly = sympy.Poly(factor, x)
+        if poly.degree() != 1:
+            continue
+        a, b = poly.all_coeffs()
+        root = sympy.Rational(-b, a)
+        columns = []
+        for vec in (m - root * sympy.eye(g.n)).nullspace():
+            denom = math.lcm(*[int(sympy.fraction(e)[1]) for e in vec])
+            ints = [int(e * denom) for e in vec]
+            columns.append([float(e // math.gcd(*ints)) for e in ints])
+        out[Fraction(int(root.p), int(root.q))] = np.array(columns).T
+    return out
+
+
+class TestRationalEigenspace:
+    def test_rational_roots_match_sympy(self):
+        rational = 0
+        for name, g in small_corpus():
+            want = sympy_rational_eigenspaces(g)
+            dec = spectral.decompose(g)
+            heads = [float(dec.eigenvalues[cl[0]]) for cl in dec.clusters]
+            for lam in heads:
+                got = sm._rational_eigenspace(g, lam)
+                roots = [r for r in want if abs(float(r) - lam) <= spectral.CLUSTER_TOL]
+                if not roots:
+                    assert got is None, (name, lam)
+                    continue
+                rational += 1
+                assert got is not None and got[0] == float(roots[0]), (name, lam)
+                assert got[1].shape == want[roots[0]].shape and np.array_equal(got[1], want[roots[0]]), (name, lam)
+            assert all(any(abs(float(r) - h) <= spectral.CLUSTER_TOL for h in heads) for r in want), name
+        assert rational >= 200, rational
+
+
 class TestConstructSlowState:
     @pytest.mark.parametrize("m,want", [(2, 1), (8, 3), (32, 5)])
     def test_p4_merge_times(self, m, want):
@@ -175,6 +235,12 @@ class TestConstructSlowState:
             delta = float(0.5 * 2.0**-e)
             pred = sm.construct_slow_state(P4, SPLIT_P4, v, delta=delta)[1]
             assert pred == math.ceil(e) == sm._geometric_hitting_time(0.5, 0.5, delta), e
+
+    def test_merge_time_past_the_cap_is_a_refused_delta(self):
+        # a rate of 1 - 2^-30 needs about 7.4e8 steps to halve the gap
+        v = dataclasses.replace(sm.sufficient_check(P4, SPLIT_P4), eigenvalue=1 - 2.0**-30)
+        with pytest.raises(DeltaOutOfRange, match="within 10,000,000 steps"):
+            sm.construct_slow_state(P4, SPLIT_P4, v, delta=0.25)
 
     def test_spillover(self):
         # path 0-1-2 with two pendants on vertex 2; pendant 4 stays outside the
@@ -255,6 +321,12 @@ class TestSignRatios:
         f = sm.sign_ratio_floor(basis, 4)
         assert f.value == pytest.approx(1 / 147, rel=1e-9) and f.exact
         assert not f.same_sign_exists
+
+    def test_floor_does_not_depend_on_the_scale(self):
+        basis = np.array([[1.0, 0.3], [-1.0, 0.5], [0.2, -1.0], [0.1, 0.4]])
+        floors = [sm.sign_ratio_floor(basis * 2.0**e, 4) for e in (-40, 0, 40)]
+        assert floors[0] == floors[1] == floors[2]
+        assert floors[1].value == pytest.approx(5 / 12, rel=1e-9) and floors[1].exact
 
     def test_floor_over_a_corpus(self):
         rng = philox(2025)
