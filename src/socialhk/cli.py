@@ -23,8 +23,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import dynamics, graphs, sampling, slowmerge, spectral
-from .errors import (BudgetExhausted, DeltaOutOfRange, DeltaTooLarge, EmptyVertexSet, GraphFormatError, InvalidSeed,
-                     SocialHKError)
+from .errors import (BudgetExhausted, DeltaOutOfRange, DeltaTooLarge, EmptyVertexSet, EpsTooSmall, GraphFormatError,
+                     InvalidSeed, SocialHKError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,6 +240,8 @@ def _summary(traj: dynamics.Trajectory, eps_list) -> dict:
         out["steady_values"] = list(ss.values)
         out["k_eps"] = dict(zip(map(repr, eps_list), dynamics.eps_convergence_time(traj, ss, list(eps_list))))
         out["energy_at_lock"] = traj.energy_at_lock
+        verdict = dynamics._locked_termination(traj.gph, traj.epochs[-1].mask, traj.lock_state)
+        out["exact_termination_k"] = None if verdict is None else traj.lock_k + verdict
     return out
 
 
@@ -259,8 +261,9 @@ def _cmd_simulate(args) -> int:
     except BudgetExhausted as exc:
         traj, partial = exc.trajectory, True
         print(f"budget exhausted: {exc} (partial results written)", file=sys.stderr)
+    summary = _summary(traj, args.eps)  # first: a run whose summary fails leaves no files
     paths = _write_trajectory(traj, args.out, args.format)
-    print(json.dumps({**_summary(traj, args.eps), "partial": partial, "files": paths}, indent=1))
+    print(json.dumps({**summary, "partial": partial, "files": paths}, indent=1))
     return EXIT_BUDGET if partial else EXIT_OK
 
 
@@ -361,11 +364,23 @@ def _graph_bounds(g, eps, bound) -> dict:
     return out
 
 
+def _run_to_lock(g, state, max_steps) -> dynamics.Trajectory:
+    """A sweep row's float run: it stops at its lock, whose state decides the
+    exact termination, or else at a bitwise repeat or the end of its budget."""
+    try:
+        return dynamics.simulate(g, state, max_steps, stop_on="lock")
+    except BudgetExhausted as exc:
+        return exc.trajectory
+
+
 def _flatten_summary(summary: dict) -> dict:
+    """A sweep row's columns from the ``_summary`` of its ``_run_to_lock``: a
+    locked row's ``steps`` is its lock step and its ``termination_k`` the
+    exact one; an unlocked row's is the float run's."""
     out = {
         "steps": summary["steps"],
         "lock_k": summary["lock_k"],
-        "termination_k": summary["termination_k"],
+        "termination_k": summary.get("exact_termination_k", summary["termination_k"]),
         "first_merge": summary["merge_times"][0] if summary["merge_times"] else None,
         "n_breaks": summary["event_counts"]["link_break"],
         "n_forms": summary["event_counts"]["link_form"],
@@ -423,13 +438,14 @@ def _cmd_sweep(args) -> int:
         row = {"row": i, key: val, "config": json.dumps({**cfg, key: val}, sort_keys=True)}
         try:
             state, predicted = start(val)
-        except (DeltaOutOfRange, DeltaTooLarge) as exc:  # a refused delta loses its row only
+            traj = _run_to_lock(g, state, max_steps)
+            summary = _flatten_summary(_summary(traj, eps_list))
+        except (DeltaOutOfRange, DeltaTooLarge, EpsTooSmall) as exc:  # a refused delta or eps loses its row only
             print(f"numerical failure: row {i}: {exc}", file=sys.stderr)
             rows.append({**row, "error": str(exc)})
             continue
-        traj = dynamics.simulate(g, state, max_steps)
         rows.append({
-            **row, "predicted_merge": predicted, **_flatten_summary(_summary(traj, eps_list)),
+            **row, "predicted_merge": predicted, **summary,
             "partial": traj.n_steps >= max_steps and not traj.locked and traj.termination_k is None,
             **graph_bounds,
         })

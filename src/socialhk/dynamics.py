@@ -471,7 +471,10 @@ def simulate(
     the limit; any other stop is refused before a step is taken.  When a
     requested condition is not met within the budget, BudgetExhausted
     carries the partial trajectory.  Termination (bitwise state repetition)
-    always stops the run since nothing can change afterwards.
+    always stops the run since nothing can change afterwards; its step,
+    ``termination_k``, is the float fixed point, which rounding reaches near
+    any limit.  Whether the exact dynamics from the lock state terminate
+    is ``_locked_termination``'s verdict.
 
     Links, events, epochs and the lock come from ``_observe``, as in
     ``simulate_exact``, at every step up to the lock where they can change;
@@ -643,6 +646,41 @@ def _over_lcm(ratios) -> tuple:
     return [p * (m // q) for p, q in ratios], m
 
 
+def _integer_averaging(gph: Graph, mask) -> tuple:
+    """(lcm, neigh) of the integer update under a link mask: ``lcm`` is the
+    lcm of the closed degrees and ``neigh`` holds each vertex's
+    ``(lcm // degree, itself, live neighbors)``, so that a state's
+    numerators one step on, over its denominator times ``lcm``, are
+    ``sum(map(y.__getitem__, nb), y[i]) * mult`` for each ``(mult, i, nb)``."""
+    _, s, deg = _averaging(gph, mask)  # each vertex's live entries: itself first, then its neighbors
+    s, deg = s.tolist(), deg.tolist()
+    lcm = math.lcm(*deg)
+    return lcm, tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, accumulate(deg)))
+
+
+def _locked_termination(gph: Graph, mask, x):
+    """The step, 0 or 1, from which the exact dynamics started at the float
+    state ``x`` repeat under the frozen live links ``mask``, or None if they
+    never do.
+
+    A state is fixed exactly when it is constant along every live link (an
+    average equals its terms only when they are all equal).  The frozen
+    update D^-1 (Adj + I) is similar to a symmetric matrix, so it is
+    diagonalizable and x_k = sum of lambda^k part_lambda over its
+    eigenvalues; x_k is fixed when its parts off lambda = 1 vanish.  The part
+    at lambda = 0 is gone after one step and no other part ever vanishes, so
+    a state that one step does not fix is never fixed.  Decided in integers:
+    ``x`` over its least common denominator, and one step of
+    ``_integer_averaging``, as ``simulate_exact`` takes it."""
+    y, _ = _over_lcm(map(float.as_integer_ratio, x.tolist()))
+    links = list(zip(gph.src[mask].tolist(), gph.dst[mask].tolist()))
+    if all(y[i] == y[j] for i, j in links):
+        return 0
+    _, neigh = _integer_averaging(gph, mask)
+    y = [sum(map(y.__getitem__, nb), y[i]) * mult for mult, i, nb in neigh]
+    return 1 if all(y[i] == y[j] for i, j in links) else None
+
+
 def simulate_exact(
     gph: Graph,
     opinions,
@@ -716,12 +754,7 @@ def simulate_exact(
             if neigh is None:
                 mask = traj.epochs[-1].mask
                 links = list(zip(gph.src[mask].tolist(), gph.dst[mask].tolist()))
-                # each vertex's live entries: itself first, then its neighbors
-                _, s, deg = _averaging(gph, mask)
-                s, deg = s.tolist(), deg.tolist()
-                lcm = math.lcm(*deg)
-                ends = list(accumulate(deg))
-                neigh = tuple((lcm // d, s[e - d], s[e - d + 1:e]) for d, e in zip(deg, ends))
+                lcm, neigh = _integer_averaging(gph, mask)
             # An average equals its terms only when they are all equal, so the
             # update fixes y exactly when y is constant across every influence
             # link; equality tests on big integers mostly fail at the top digit.
@@ -860,7 +893,9 @@ def eps_convergence_time(traj: Trajectory, ss: SteadyState, eps):
     # the norm of the deviation at lock in its eigenspace and its |lambda|,
     # flat over the components, whose first clusters are at ``firsts``.
     weights, rates, firsts = [], [], []
-    for vs, dec in _component_spectra(traj.influence_graph_at(k_lock)):
+    # the steady state's components: the lock's influence graph is labelled once
+    ig = InfluenceGraph(traj.gph.masked(traj._epoch_at(k_lock).mask), ss.components)
+    for vs, dec in _component_spectra(ig):
         starts = [cl[0] for cl in dec.clusters]
         dev = traj.lock_state[vs] - ss.x_inf[vs]
         parts = dec.eigenvectors * np.linalg.solve(dec.eigenvectors, dev)
@@ -926,10 +961,9 @@ def tail_decay_ratio(traj: Trajectory, ss: SteadyState, window: int = 50) -> flo
         # m = m_hi / q, W m_hi (y_v / m - limit) = W q y_v - S.  The squared
         # distance to the limits is those squares summed with weights L / W^2,
         # for L the lcm of the W^2, over L m_hi^2, which cancels in the ratio.
-        ig = traj.influence_graph_at(traj.lock_k)
-        deg = ig.graph.degrees.tolist()
+        deg = traj.gph.masked(traj._epoch_at(traj.lock_k).mask).degrees.tolist()
         (_, y_hi, m_hi), (_, y_lo, m_lo) = traj.exact_window[-1], traj.exact_window[-1 - window]
-        comps = [(c, sum(deg[v] for v in c), sum(deg[v] * y_hi[v] for v in c)) for c in ig.components]
+        comps = [(c, sum(deg[v] for v in c), sum(deg[v] * y_hi[v] for v in c)) for c in ss.components]
         scale = math.lcm(*(w * w for _, w, _ in comps))
 
         def spread(y, q):

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import dynamics  # which imports this module: each reads the other's names at call time only
 from .errors import PreconditionViolated, SpreadTooLarge
 from .graphs import Graph, PartiteSpec, complete_r_partite, normalized_adjacency
 
@@ -159,13 +160,14 @@ class NonterminationCertificate:
     linear map A = D^{-1} A_adj, which is diagonalizable: x_k = x_inf +
     sum over eigenvalues lambda of lambda^k part_lambda.  The run terminates
     iff every part with lambda not 0 or 1 is zero, that is iff x_1 = A x_0 is
-    constant (the graph is connected).  ``certified`` is the exact engine's
-    termination test two steps out: the run locks at step 0 with every link
-    live and terminates at step 0 or 1 exactly when x_0 or x_1 is constant.
-    So it covers weight on any non-zero, non-unit eigenvalue, at every scale
-    of the state and the bound, with no tolerance.  ``c2_magnitude``, the
-    float weight on the second-largest-|lambda| level, and ``lambda2_abs``
-    are diagnostics.
+    constant (the graph is connected).  ``certified`` is the integer verdict
+    a locked sweep row gets (``dynamics._locked_termination``) with every
+    link live: a float spread below the bound is a real one below it, as
+    rounding is monotone.  So it covers weight on any non-zero, non-unit
+    eigenvalue, at every scale of the state and the bound, with no
+    tolerance, and it equals the exact engine's termination test two steps
+    out.  ``c2_magnitude``, the float weight on the second-largest-|lambda|
+    level, and ``lambda2_abs`` are diagnostics.
     """
 
     certified: bool
@@ -184,9 +186,8 @@ def nontermination_certificate(g: Graph, opinions: np.ndarray, confidence_bound:
     spread = float(np.max(x0) - np.min(x0))
     if spread >= confidence_bound:
         raise SpreadTooLarge(f"spread {spread} must be < {confidence_bound}")
-    from .dynamics import simulate_exact  # dynamics imports this module
-
-    certified = simulate_exact(g, x0.tolist(), confidence_bound, 2).termination_k is None
+    x0 = dynamics.OpinionState(x0, confidence_bound).opinions  # refuses what is not finite
+    certified = dynamics._locked_termination(g, np.ones(len(g.src), bool), x0) is None
     dec = decompose(g)
     coeffs = np.linalg.solve(dec.eigenvectors, x0)
     lam2 = dec.second_largest_abs()

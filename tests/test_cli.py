@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from socialhk import cli, dynamics, graphs, sampling, slowmerge
+from socialhk.errors import EpsTooSmall
 
 
 def run(argv):
@@ -77,6 +79,24 @@ class TestSimulateCommand:
         energy_lines = read(f"{out}/energy.csv").splitlines()
         assert energy_lines[0] == "k,E,E_act"
         assert energy_lines[1] == "0,12.0,4.0"
+
+    @pytest.mark.parametrize("graph, x0, exact", [
+        ("path:3", "0.0,0.3,0.6", None),  # the float run reaches a fixed point the exact one never does
+        ("complete:4", "0,0.125,0.25,0.375", 1),
+        ("path:4", "0.5,0.5,0.5,0.5", 0),
+    ])
+    def test_summary_says_when_the_exact_dynamics_terminate(self, graph, x0, exact, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "simulate", "--graph", graph, "--x0", x0, "--max-steps", "300"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["lock_k"], summary["exact_termination_k"]) == (0, exact)
+        assert summary["termination_k"] is not None  # the float fixed point
+
+    def test_unlocked_summary_has_no_exact_termination(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "simulate", "--graph", "path:4", "--x0", "four-path:delta=0.25",
+                "--max-steps", "1"]
+        assert run(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["lock_k"] is None and "exact_termination_k" not in summary
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         args = [
@@ -486,6 +506,88 @@ class TestOtherCommands:
             made = json.loads(capsys.readouterr().out)
             assert int(row["predicted_merge"]) == made["predicted_merge_time"] == int(row["first_merge"])
 
+    MIXED = {"graph": "cycle:8", "R": 1.0, "seeds": list(range(1, 13)), "eps": [0.01], "max_steps": 100,
+             "sampler": {"mode": "uniform_box", "lo": 0.0, "hi": 3.0}}
+
+    def test_locked_rows_end_at_their_lock(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.MIXED))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        g = graphs.cycle_graph(8)
+        locked = 0
+        for row in rows:
+            if row["lock_k"] == "":
+                continue
+            locked += 1
+            assert row["steps"] == row["lock_k"] and row["partial"] == "False"
+            state = sampling.sample_initial_state(8, 1.0, "uniform_box", int(row["seed"]), lo=0.0, hi=3.0)
+            lock = dynamics.simulate(g, state, 100, stop_on="lock").lock_state
+            exact = dynamics.simulate_exact(g, lock.tolist(), 1.0, 2).termination_k
+            assert row["termination_k"] == ("" if exact is None else str(int(row["lock_k"]) + exact))
+        assert 3 <= locked < len(rows)
+
+    def test_unlocked_rows_are_those_of_a_run_through_the_budget(self, tmp_path, capsys, monkeypatch):
+        # rows that never lock, ended by a repeat or by the budget, are byte
+        # for byte what stepping every row through its budget writes; locked
+        # rows differ from it in their steps only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.MIXED))
+        assert run(["--out", str(tmp_path / "lock"), "sweep", "--config", str(cfg)]) == 0
+        simulate = dynamics.simulate
+        monkeypatch.setattr(dynamics, "simulate", lambda g, state, max_steps, stop_on=None: simulate(g, state, max_steps))
+        assert run(["--out", str(tmp_path / "budget"), "sweep", "--config", str(cfg)]) == 0
+        lines = [read(f"{tmp_path}/{d}/sweep.csv").splitlines() for d in ("lock", "budget")]
+        lock, budget = (list(csv.DictReader(text)) for text in lines)
+        kinds = Counter()
+        for row, ref, line, ref_line in zip(lock, budget, lines[0][1:], lines[1][1:], strict=True):
+            if row["lock_k"] == "":
+                assert line == ref_line
+                kinds["budget" if row["steps"] == "100" else "repeat"] += 1
+            else:
+                assert {**row, "steps": None} == {**ref, "steps": None}
+                assert int(row["steps"]) < int(ref["steps"])
+                kinds["locked"] += 1
+        assert min(kinds.values()) >= 2 and len(kinds) == 3, kinds
+
+    def test_a_refused_eps_loses_its_row_only(self, tmp_path, capsys):
+        # the tail bound never reaches 1e-20 (see the simulate refusal below)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:4", "R": 1.0, "seeds": [3, 4], "eps": [1e-20], "max_steps": 50,
+                                   "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.6}}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 2
+        assert "numerical failure: row 0: tail bound does not reach eps=1e-20" in capsys.readouterr().err
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        assert [(r["seed"], r["error"].startswith("tail bound")) for r in rows] == [("3", True), ("4", True)]
+
+    def test_a_row_whose_eps_is_refused_keeps_the_others(self, tmp_path, capsys, monkeypatch):
+        eps_time = dynamics.eps_convergence_time
+
+        def refuse_the_second(traj, ss, eps):
+            if traj.states[0].tobytes() == second.tobytes():
+                raise EpsTooSmall("refused")
+            return eps_time(traj, ss, eps)
+
+        second = sampling.sample_initial_state(4, 1.0, "narrow_spread", 4, center=0.0, width=0.6).opinions
+        monkeypatch.setattr(dynamics, "eps_convergence_time", refuse_the_second)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "path:4", "R": 1.0, "seeds": [3, 4, 5], "eps": [0.01], "max_steps": 50,
+                                   "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.6}}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 2
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        assert [(r["error"], r["lock_k"]) for r in rows] == [("", "0"), ("refused", ""), ("", "0")]
+
+    def test_one_influence_graph_per_locked_row(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        labelled = dynamics.Trajectory.influence_graph_at
+        monkeypatch.setattr(dynamics.Trajectory, "influence_graph_at",
+                            lambda traj, k: calls.append(k) or labelled(traj, k))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "cycle:8", "R": 1.0, "seeds": [3, 4, 5], "eps": [0.01, 1e-4],
+                                   "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.5}}))
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+        assert calls == [0, 0, 0]
+
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -632,6 +734,7 @@ class TestExitCodes:
                 "--x0", "narrow-spread:center=0,width=0.6", "--max-steps", "50", "--eps", "1e-20"]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("numerical failure: tail bound does not reach eps=1e-20")
+        assert os.listdir(tmp_path) == []  # the summary fails before any file is written
 
     @pytest.mark.parametrize("argv", [
         ["check-merge", "--graph", "path:4", "--vp", "1,2", "--vq", "2,3"],

@@ -1759,3 +1759,52 @@ class TestExactTailRatio:
             assert seen["ratios"] >= 20 and seen["jumped"] >= 2, seen
         if window == 60:
             assert seen["link_change_in_window"] >= 1, seen
+
+
+class TestLockedTermination:
+    @staticmethod
+    def locked_runs():
+        """Float runs stopped at their lock on paths, cycles, dumbbells and
+        stars, from narrow spreads (one component) and boxes [0, 3] (several)."""
+        samplers = (("narrow_spread", {"center": 0.0, "width": 0.6}), ("uniform_box", {"lo": 0.0, "hi": 3.0}))
+        for name in ("path", "cycle", "dumbbell", "star"):
+            for n in (4, 6, 9, 12, 16):
+                g = graphs.standard_graph(name, n)
+                for mode, params in samplers:
+                    for seed in range(1, 21):
+                        state = sampling.sample_initial_state(n, 1.0, mode, seed, **params)
+                        try:
+                            traj = dynamics.simulate(g, state, 300, stop_on="lock")
+                        except BudgetExhausted:
+                            continue
+                        if traj.locked:  # not a bitwise repeat before any lock
+                            yield traj
+
+    def test_matches_the_exact_engine_from_the_lock_state(self):
+        seen = Counter()
+        for traj in self.locked_runs():
+            verdict = dynamics._locked_termination(traj.gph, traj.epochs[-1].mask, traj.lock_state)
+            exact = dynamics.simulate_exact(traj.gph, traj.lock_state.tolist(), 1.0, 2)
+            assert verdict == exact.termination_k, (traj.gph, traj.states[0])
+            seen[verdict] += 1
+        assert sum(seen.values()) >= 500 and min(seen[0], seen[1]) >= 3, seen
+
+    def test_complete_graph_is_constant_after_one_step(self):
+        g = complete_graph(4)
+        mask = np.ones(len(g.src), bool)
+        assert dynamics._locked_termination(g, mask, np.array([0.0, 1 / 8, 1 / 4, 3 / 8])) == 1
+
+    def test_constant_state_is_fixed(self):
+        g = graphs.cycle_graph(12)
+        assert dynamics._locked_termination(g, np.ones(len(g.src), bool), np.full(12, 0.3)) == 0
+
+    def test_one_verdict_at_every_scale(self):
+        # never, a twin pair of K4 less an edge that one step equalizes, a
+        # constant component beside a lone vertex
+        k4_less = graphs.Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}))
+        cases = [(path_graph(3), [True, True], [0.1, 0.0, -0.1], None),
+                 (k4_less, [True] * 5, [0.625, 0.375, 0.5, 0.5], 1),
+                 (path_graph(3), [True, False], [0.25, 0.25, 2.0], 0)]
+        for g, mask, x, want in cases:
+            for s in (2.0**-40, 1.0, 2.0**40):
+                assert dynamics._locked_termination(g, np.array(mask), s * np.array(x)) == want, (g, s)
