@@ -191,18 +191,19 @@ def _float_table(header, rows, fmt: str):
     ``repr`` per distinct value.  The CSV is what ``csv.writer`` writes for
     these cells (none needs quoting, rows end in ``\\r\\n``); the JSON is
     the list of ``{"k": k, name: "repr", ...}`` objects that
-    ``json.dumps(..., indent=1)`` writes, each block dumped on its own and
-    stripped of its list brackets.
+    ``json.dumps(..., indent=1)`` writes, filled into one row template, as
+    no ``repr`` of a float needs escaping.
     """
     if fmt == "json":
         yield "[\n"
+        names = (json.dumps(name).replace("%", "%%") for name in header[1:])
+        row = ' {\n  "k": %d' + "".join(f',\n  {name}: "%s"' for name in names) + "\n }"
     else:
         yield ",".join(header) + "\r\n"
     for a, b in dynamics._row_blocks(0, len(rows), len(header) - 1):
         cells = _block_rows(np.array(rows[a:b]))
         if fmt == "json":
-            objs = [{"k": k, **dict(zip(header[1:], c.split(",")))} for k, c in enumerate(cells, a)]
-            yield ",\n" * (a > 0) + json.dumps(objs, indent=1)[2:-2]
+            yield ",\n" * (a > 0) + ",\n".join([row % (k, *c.split(",")) for k, c in enumerate(cells, a)])
         else:
             yield "".join([f"{k},{c}\r\n" for k, c in enumerate(cells, a)])
     if fmt == "json":

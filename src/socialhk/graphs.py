@@ -25,6 +25,7 @@ from .errors import (
 
 CONDUCTANCE_CAP = 24
 _BLOCK_ROWS = 64  # high-half masks per block of the conductance enumeration
+_WORD = 64  # bits per word of a reach row; larger graphs leave the Python-int loop
 
 
 class Graph:
@@ -280,8 +281,13 @@ def effective_diameter(g: Graph) -> int:
 
     Every vertex holds a bitmask of the vertices within r hops of it; a round
     ORs in the neighbors' masks, and the rounds that still grow some mask
-    number the largest eccentricity.
+    number the largest eccentricity (the all-sources BFS of Then et al.,
+    PVLDB 2014).  Up to ``_WORD`` vertices a mask is one Python int and a
+    round one ``|=`` per directed edge; larger graphs run the rounds on
+    numpy word rows (``_word_row_rounds``).
     """
+    if g.n > _WORD:
+        return _word_row_rounds(g)
     links = g.nonloop_edges()
     reach = [1 << v for v in range(g.n)]
     for rounds in count():
@@ -292,6 +298,55 @@ def effective_diameter(g: Graph) -> int:
         if grown == reach:
             return rounds
         reach = grown
+
+
+def _word_row_rounds(g: Graph) -> int:
+    """``effective_diameter`` on rows of ⌈n/64⌉ ``uint64`` words.
+
+    The vertices are relabelled by closed degree, largest first (stable), so
+    the vertices with an s-th closed neighbor (``entries`` order, itself at
+    s = 0) are the first ``c[s]`` rows.  With h the first s for which
+    ``c[s] <= s``, each slot 0 < s < h costs one gather of the s-th
+    neighbors' rows and one OR into rows ``c[h]`` to ``c[s]`` (slot 1 ORs
+    onto the rows themselves), and each of the first ``c[h]`` vertices
+    reduces all its closed neighbors' rows.  So a star pays a few numpy calls
+    a round, not one per leaf.  Every array is allocated before the first
+    round, and a round costs O((n + 2m)·⌈n/64⌉) word operations.
+    """
+    n = g.n
+    _, nbr, _, offsets = g.entries
+    deg = np.diff(offsets)
+    order = np.argsort(-deg, kind="stable")  # new label -> vertex
+    rank = np.empty(n, np.intp)
+    rank[order] = np.arange(n)
+    c = (n - np.cumsum(np.bincount(deg))).tolist()  # c[s]: vertices of closed degree > s
+    h = next(s for s, cs in enumerate(c) if cs <= s)
+    high, first = c[h], offsets[order]
+    gathers = [(rank[nbr[first[high:c[s]] + s]], c[s]) for s in range(1, h)]
+    reduces = [rank[nbr[a:b]] for a, b in zip(first[:high].tolist(), offsets[order[:high] + 1].tolist())]
+
+    words = -(-n // _WORD)
+    reach = np.zeros((n, words), np.uint64)
+    labels = np.arange(n)
+    reach[labels, labels // _WORD] = np.left_shift(np.uint64(1), (labels % _WORD).astype(np.uint64))
+    grown, buf = np.empty_like(reach), np.empty_like(reach)
+    diff = np.empty(reach.shape, bool)
+    for rounds in count():
+        np.copyto(grown[c[1]:], reach[c[1]:])  # vertices without a neighbor
+        base = reach
+        for idx, hi in gathers:
+            part = buf[:hi - high]
+            np.take(reach, idx, axis=0, out=part, mode="clip")  # "raise" would buffer the output
+            np.bitwise_or(base[high:hi], part, out=grown[high:hi])
+            base = grown
+        for v, idx in enumerate(reduces):
+            part = buf[:len(idx)]
+            np.take(reach, idx, axis=0, out=part, mode="clip")
+            np.bitwise_or.reduce(part, axis=0, out=grown[v])
+        np.not_equal(grown, reach, out=diff)
+        if not diff.any():
+            return rounds
+        reach, grown = grown, reach
 
 
 @lru_cache(maxsize=64)

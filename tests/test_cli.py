@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from socialhk import cli, dynamics, graphs, sampling, slowmerge
+from socialhk import bounds, cli, dynamics, graphs, sampling, slowmerge
 from socialhk.errors import EpsTooSmall
 
 
@@ -25,25 +25,27 @@ def read(path):
         return fh.read()
 
 
-def reference_write_tables(traj, out, fmt):
-    """The table writer the CLI had before block formatting: a row list per
-    state with each value through ``repr``, written by ``csv.writer`` or as
-    one ``json.dumps`` document."""
-    def table(header, rows):
-        if fmt == "json":
-            return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(rows)
-        return buf.getvalue()
+def reference_table(header, rows, fmt):
+    """The table writer the CLI had before block formatting, for rows that
+    already hold their k and their cells' text: ``csv.writer``, or one
+    ``json.dumps`` document."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
+
+def reference_write_tables(traj, out, fmt):
+    """``reference_table`` of a trajectory's states and energies, each value
+    through ``repr``."""
     os.makedirs(out, exist_ok=True)
     header = ["k"] + [f"x_{i+1}" for i in range(traj.gph.n)]
     with open(os.path.join(out, f"trajectory.{fmt}"), "w") as fh:
-        fh.write(table(header, [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)]))
+        fh.write(reference_table(header, [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)], fmt))
     with open(os.path.join(out, f"energy.{fmt}"), "w") as fh:
-        fh.write(table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)]))
+        fh.write(reference_table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)],
+                                 fmt))
 
 
 class TestAtomicWrite:
@@ -235,6 +237,27 @@ class TestTableWriter:
         blocks += [rng.choice(pool, size=shape) for shape in [(1, 2), (3, 4), (40, 7), (1, 300)]]
         for block in blocks:
             assert cli._block_rows(block) == [",".join(map(repr, row)) for row in block.tolist()], block
+
+    @pytest.mark.parametrize("cells", [None, 3, 7])
+    def test_json_text_is_the_json_dumps_document(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(dynamics, "_CELLS", cells)
+        g = graphs.standard_graph("dumbbell", 8)
+        traj = dynamics.simulate(g, sampling.sample_initial_state(g.n, 1.0, "uniform_box", 3, lo=0, hi=3), 60)
+        tables = {
+            "one row": [[0.1, -0.0, 2.5]],
+            "blocks of one column": [[v] for v in np.linspace(-1, 1, 23).tolist()],
+            "repeats and signed zeros": [[0.0, -0.0, 0.0, 1.5], [1.5, 1.5, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0]] * 5,
+            "exponents": [[1e-05, 1e+16, 5e-324, -1e+300], [1e-05, 1.5e-07, 2e+22, 1e+16]],
+            "trajectory": traj.states,
+        }
+        for name, rows in tables.items():
+            header = ["k"] + [f"x_{i+1}" for i in range(len(rows[0]))]
+            want = reference_table(header, [[k, *map(repr, r)] for k, r in enumerate(np.array(rows).tolist())], "json")
+            assert "".join(cli._float_table(header, rows, "json")) == want, name
+        energies = traj.energies
+        want = reference_table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(energies)], "json")
+        assert "".join(cli._float_table(["k", "E", "E_act"], energies, "json")) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_rows(self, fmt):
@@ -484,6 +507,21 @@ class TestOtherCommands:
                          for name in ("absent", "empty"))
         assert "bound_conductance_floor" in empty
         assert {**empty, "config": None} == {**absent, "config": None}
+
+    def test_sweep_kappa_cap_on_three_word_rows(self, tmp_path, capsys):
+        # cycle:130 takes the numpy diameter kernel, three 64-bit words a row
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": "cycle:130", "R": 1.0, "seeds": [3],
+            "sampler": {"mode": "narrow_spread", "center": 0.0, "width": 0.5},
+            "eps": [1e-2, 1e-3], "max_steps": 20,
+        }))
+        graphs.diameter.cache_clear()
+        assert run(["--out", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(read(f"{tmp_path}/sweep.csv").splitlines()))
+        want = bounds.constant_influence_upper_bound(130, 65, 1e-3, 1.0).value
+        assert want != bounds.constant_influence_upper_bound(130, 64, 1e-3, 1.0).value
+        assert [float(r["bound_kappa_cap"]) for r in rows] == [want]
 
     def test_split_sweep_decides_its_verdict_once(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -327,6 +327,38 @@ class TestConductance:
             graphs.conductance(g)
 
 
+def bfs_diameter(g: graphs.Graph) -> int:
+    """Independent oracle: a level-by-level BFS from every vertex over
+    neighbor sets; the largest depth reached is the effective diameter."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    best = 0
+    for s in range(g.n):
+        seen, frontier, depth = {s}, {s}, 0
+        while True:
+            frontier = set().union(*(adj[v] for v in frontier)) - seen
+            if not frontier:
+                break
+            seen |= frontier
+            depth += 1
+        best = max(best, depth)
+    return best
+
+
+def gnp(rng, n, p):
+    """A seeded G(n, p) graph (possibly disconnected) on ``n`` vertices."""
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(len(i)) < p
+    return graphs.Graph(n, zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def disjoint_union(*parts):
+    edges, base = set(), 0
+    for g in parts:
+        edges |= {(i + base, j + base) for i, j in g.nonloop_edges()}
+        base += g.n
+    return graphs.Graph(base, edges)
+
+
 class TestDiameters:
     def test_p4(self):
         assert graphs.effective_diameter(graphs.path_graph(4)) == 3
@@ -345,21 +377,6 @@ class TestDiameters:
             assert graphs.effective_diameter(g) <= g.n - 1
 
     def test_matches_bfs_reference(self):
-        def bfs_diameter(g):
-            best = 0
-            for s in range(g.n):
-                dist, frontier = {s: 0}, [s]
-                while frontier:
-                    nxt = []
-                    for v in frontier:
-                        for w in g.neighbors(v):
-                            if w not in dist:
-                                dist[w] = dist[v] + 1
-                                nxt.append(w)
-                    frontier = nxt
-                best = max(best, max(dist.values()))
-            return best
-
         rng = philox(5)
         cases = [graphs.standard_graph(kind, n) for kind in ("path", "cycle", "star", "dumbbell")
                  for n in (2, 3, 7, 12)]
@@ -367,10 +384,62 @@ class TestDiameters:
         for _ in range(10):  # disjoint unions of two random connected graphs
             a = random_connected_graph(rng, int(rng.integers(1, 7)))
             b = random_connected_graph(rng, int(rng.integers(1, 7)))
-            shifted = {(i + a.n, j + a.n) for i, j in b.edges}
-            cases.append(graphs.Graph(a.n + b.n, a.edges | shifted))
+            cases.append(disjoint_union(a, b))
         for g in cases:
             assert graphs.effective_diameter(g) == bfs_diameter(g), g
+
+    # both sides of the 64-vertex switch from Python ints to numpy word rows
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "dumbbell", "complete"])
+    def test_standard_families_around_the_word_size(self, kind, n):
+        g = graphs.standard_graph(kind, n)
+        d = graphs.effective_diameter(g)
+        assert type(d) is int  # bounds writes it to JSON
+        assert d == bfs_diameter(g)
+
+    def test_broom(self):
+        # a star:40 hub with a 100-vertex path tail: one vertex of closed
+        # degree 40 (a reduce) among vertices of degree 2 and 3 (two gather
+        # slots), and 102 rounds
+        edges = {(0, leaf) for leaf in range(1, 40)} | {(v, v + 1) for v in range(39, 139)}
+        g = graphs.Graph(140, edges)
+        assert graphs.effective_diameter(g) == bfs_diameter(g) == 102
+
+    def test_disjoint_unions_with_isolated_vertices(self):
+        rng = philox(11)
+        for _ in range(8):
+            parts = [random_connected_graph(rng, int(rng.integers(20, 60)), 0.05) for _ in range(4)]
+            parts += [graphs.Graph(1)] * int(rng.integers(1, 5))
+            g = disjoint_union(*(parts[k] for k in rng.permutation(len(parts))))
+            assert g.n > 64
+            assert graphs.effective_diameter(g) == bfs_diameter(g)
+        assert graphs.effective_diameter(graphs.Graph(100)) == 0
+        assert graphs.effective_diameter(disjoint_union(graphs.Graph(70), graphs.path_graph(3))) == 2
+
+    def test_random_graphs_above_the_word_size(self):
+        rng = philox(13)
+        for _ in range(25):
+            n = int(rng.integers(65, 201))
+            g = gnp(rng, n, float(rng.uniform(0.0, 6.0)) / n)
+            assert graphs.effective_diameter(g) == bfs_diameter(g), g
+
+    def test_pinned_large_cycles_and_paths(self):
+        for g, want in ((graphs.cycle_graph(512), 256), (graphs.path_graph(512), 511)):
+            d = graphs.effective_diameter(g)
+            assert type(d) is int and d == want
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = philox(17)
+        for _ in range(100):
+            n = int(rng.integers(1, 201))
+            g = gnp(rng, n, float(rng.uniform(0.0, 1.0)) if n <= 24 else float(rng.uniform(0.0, 8.0)) / n)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.nonloop_edges())
+            want = max(nx.diameter(h.subgraph(c).copy(), usebounds=True) for c in nx.connected_components(h))
+            assert graphs.effective_diameter(g) == want, g
 
     def test_diameter_requires_connected(self):
         with pytest.raises(DisconnectedGraph):
