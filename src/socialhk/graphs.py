@@ -25,7 +25,12 @@ from .errors import (
 
 CONDUCTANCE_CAP = 24
 _BLOCK_ROWS = 64  # high-half masks per block of the conductance enumeration
-_WORD = 64  # bits per word of a reach row; larger graphs leave the Python-int loop
+_WORD = 64  # bits per word of a reach row
+# Largest graph for the Python-int diameter loop.  Timed against the word-row
+# kernel on eight families (paths and cycles win on word rows from about 88
+# vertices, sparse random graphs and stars only near 256), the geometric mean
+# of the two crosses between 128 and 160 vertices.
+_INT_LOOP_MAX = 128
 
 
 class Graph:
@@ -282,11 +287,12 @@ def effective_diameter(g: Graph) -> int:
     Every vertex holds a bitmask of the vertices within r hops of it; a round
     ORs in the neighbors' masks, and the rounds that still grow some mask
     number the largest eccentricity (the all-sources BFS of Then et al.,
-    PVLDB 2014).  Up to ``_WORD`` vertices a mask is one Python int and a
-    round one ``|=`` per directed edge; larger graphs run the rounds on
-    numpy word rows (``_word_row_rounds``).
+    PVLDB 2014).  Up to ``_INT_LOOP_MAX`` vertices a mask is one Python int
+    and a round one ``|=`` per directed edge; larger graphs run the rounds on
+    numpy word rows (``_word_row_rounds``), whose fixed cost of a few numpy
+    calls a round only pays off there.
     """
-    if g.n > _WORD:
+    if g.n > _INT_LOOP_MAX:
         return _word_row_rounds(g)
     links = g.nonloop_edges()
     reach = [1 << v for v in range(g.n)]
@@ -329,10 +335,9 @@ def _word_row_rounds(g: Graph) -> int:
     reach = np.zeros((n, words), np.uint64)
     labels = np.arange(n)
     reach[labels, labels // _WORD] = np.left_shift(np.uint64(1), (labels % _WORD).astype(np.uint64))
-    grown, buf = np.empty_like(reach), np.empty_like(reach)
+    grown, buf = reach.copy(), np.empty_like(reach)  # rows without a neighbor never change
     diff = np.empty(reach.shape, bool)
     for rounds in count():
-        np.copyto(grown[c[1]:], reach[c[1]:])  # vertices without a neighbor
         base = reach
         for idx, hi in gathers:
             part = buf[:hi - high]

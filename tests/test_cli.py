@@ -25,27 +25,25 @@ def read(path):
         return fh.read()
 
 
-def reference_table(header, rows, fmt):
-    """The table writer the CLI had before block formatting, for rows that
-    already hold their k and their cells' text: ``csv.writer``, or one
-    ``json.dumps`` document."""
-    if fmt == "json":
-        return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
-    buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
-    return buf.getvalue()
-
-
 def reference_write_tables(traj, out, fmt):
-    """``reference_table`` of a trajectory's states and energies, each value
-    through ``repr``."""
+    """The table writer the CLI had before block formatting: a row list per
+    state with each value through ``repr``, written by ``csv.writer`` or as
+    one ``json.dumps`` document."""
+    def table(header, rows):
+        if fmt == "json":
+            return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue()
+
     os.makedirs(out, exist_ok=True)
     header = ["k"] + [f"x_{i+1}" for i in range(traj.gph.n)]
     with open(os.path.join(out, f"trajectory.{fmt}"), "w") as fh:
-        fh.write(reference_table(header, [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)], fmt))
+        fh.write(table(header, [[k, *map(repr, s.tolist())] for k, s in enumerate(traj.states)]))
     with open(os.path.join(out, f"energy.{fmt}"), "w") as fh:
-        fh.write(reference_table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)],
-                                 fmt))
+        fh.write(table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(traj.energies)]))
 
 
 class TestAtomicWrite:
@@ -237,27 +235,6 @@ class TestTableWriter:
         blocks += [rng.choice(pool, size=shape) for shape in [(1, 2), (3, 4), (40, 7), (1, 300)]]
         for block in blocks:
             assert cli._block_rows(block) == [",".join(map(repr, row)) for row in block.tolist()], block
-
-    @pytest.mark.parametrize("cells", [None, 3, 7])
-    def test_json_text_is_the_json_dumps_document(self, cells, monkeypatch):
-        if cells is not None:
-            monkeypatch.setattr(dynamics, "_CELLS", cells)
-        g = graphs.standard_graph("dumbbell", 8)
-        traj = dynamics.simulate(g, sampling.sample_initial_state(g.n, 1.0, "uniform_box", 3, lo=0, hi=3), 60)
-        tables = {
-            "one row": [[0.1, -0.0, 2.5]],
-            "blocks of one column": [[v] for v in np.linspace(-1, 1, 23).tolist()],
-            "repeats and signed zeros": [[0.0, -0.0, 0.0, 1.5], [1.5, 1.5, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0]] * 5,
-            "exponents": [[1e-05, 1e+16, 5e-324, -1e+300], [1e-05, 1.5e-07, 2e+22, 1e+16]],
-            "trajectory": traj.states,
-        }
-        for name, rows in tables.items():
-            header = ["k"] + [f"x_{i+1}" for i in range(len(rows[0]))]
-            want = reference_table(header, [[k, *map(repr, r)] for k, r in enumerate(np.array(rows).tolist())], "json")
-            assert "".join(cli._float_table(header, rows, "json")) == want, name
-        energies = traj.energies
-        want = reference_table(["k", "E", "E_act"], [[k, *map(repr, ea)] for k, ea in enumerate(energies)], "json")
-        assert "".join(cli._float_table(["k", "E", "E_act"], energies, "json")) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_rows(self, fmt):

@@ -388,7 +388,8 @@ class TestDiameters:
         for g in cases:
             assert graphs.effective_diameter(g) == bfs_diameter(g), g
 
-    # both sides of the 64-vertex switch from Python ints to numpy word rows
+    # both sides of the 128-vertex switch from Python ints to numpy word rows,
+    # and of the word size
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 200])
     @pytest.mark.parametrize("kind", ["path", "cycle", "star", "dumbbell", "complete"])
@@ -397,6 +398,19 @@ class TestDiameters:
         d = graphs.effective_diameter(g)
         assert type(d) is int  # bounds writes it to JSON
         assert d == bfs_diameter(g)
+
+    def test_word_rows_below_the_switch(self):
+        # the kernel is exact at every size, one and two words a row included
+        rng = philox(19)
+        cases = [graphs.standard_graph(kind, n) for kind in ("path", "cycle", "star", "dumbbell", "complete")
+                 for n in (2, 3, 63, 64, 65, 128)]
+        cases += [graphs.Graph(1), graphs.Graph(70), disjoint_union(graphs.Graph(3), graphs.path_graph(5))]
+        for _ in range(10):
+            n = int(rng.integers(2, 129))
+            cases.append(gnp(rng, n, float(rng.uniform(0.0, 6.0)) / n))
+        for g in cases:
+            d = graphs._word_row_rounds(g)
+            assert type(d) is int and d == bfs_diameter(g), g
 
     def test_broom(self):
         # a star:40 hub with a 100-vertex path tail: one vertex of closed
@@ -409,18 +423,18 @@ class TestDiameters:
     def test_disjoint_unions_with_isolated_vertices(self):
         rng = philox(11)
         for _ in range(8):
-            parts = [random_connected_graph(rng, int(rng.integers(20, 60)), 0.05) for _ in range(4)]
+            parts = [random_connected_graph(rng, int(rng.integers(33, 60)), 0.05) for _ in range(4)]
             parts += [graphs.Graph(1)] * int(rng.integers(1, 5))
             g = disjoint_union(*(parts[k] for k in rng.permutation(len(parts))))
-            assert g.n > 64
+            assert g.n > graphs._INT_LOOP_MAX
             assert graphs.effective_diameter(g) == bfs_diameter(g)
-        assert graphs.effective_diameter(graphs.Graph(100)) == 0
-        assert graphs.effective_diameter(disjoint_union(graphs.Graph(70), graphs.path_graph(3))) == 2
+        assert graphs.effective_diameter(graphs.Graph(200)) == 0
+        assert graphs.effective_diameter(disjoint_union(graphs.Graph(140), graphs.path_graph(3))) == 2
 
-    def test_random_graphs_above_the_word_size(self):
+    def test_random_graphs_above_the_switch(self):
         rng = philox(13)
         for _ in range(25):
-            n = int(rng.integers(65, 201))
+            n = int(rng.integers(129, 257))
             g = gnp(rng, n, float(rng.uniform(0.0, 6.0)) / n)
             assert graphs.effective_diameter(g) == bfs_diameter(g), g
 
